@@ -1,5 +1,5 @@
-// Distributed-serving benchmarks: the shard-merge kernels and the
-// router's scatter-gather hot path over the paper-sized LA index.
+// Distributed-serving benchmarks: the shard stats-merge kernel and the
+// router's locate paths over the paper-sized LA index.
 // Baselines live in BENCH_index.json next to the serving entries.
 package fairindex_test
 
@@ -77,10 +77,11 @@ func BenchmarkShardMergeGroupStats(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterLocateBatch is the end-to-end scatter-gather path: a
-// 1000-point batch through the HTTP router, split across real shard
-// servers and reassembled in manifest order. Compare with
-// BenchmarkIndexLocateBatch for the wire + fan-out overhead over the
+// BenchmarkRouterLocateBatch is a 1000-point batch through the HTTP
+// router over real shard servers. The router answers it from its
+// manifest without calling a shard, so this measures one HTTP hop plus
+// the router's JSON decode, per-point cell lookup and encode. Compare
+// with BenchmarkIndexLocateBatch for the wire overhead over the
 // in-process kernel.
 func BenchmarkRouterLocateBatch(b *testing.B) {
 	_, m, shards, _ := shardFixture(b)
@@ -132,12 +133,12 @@ func BenchmarkRouterLocateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterLocateFailover is the healthy-path cost of the
-// replica layer: single-point locates through a router whose shards
-// each name two live replicas, so every request pays the breaker
-// bookkeeping, rotation, and failover budget arithmetic without ever
-// failing over. Compare with BenchmarkRouterLocateBatch to see the
-// replica bookkeeping is noise against the wire cost.
+// BenchmarkRouterLocateFailover is a single-point GET /v1/locate
+// through a router whose shards each name two live replicas. The
+// router answers locates from its manifest, so no replica is called
+// and the replica layer adds nothing: this measures one client→router
+// HTTP hop. Compare with BenchmarkServerLocate, the same request
+// against a whole-index server.
 func BenchmarkRouterLocateFailover(b *testing.B) {
 	_, m, shards, _ := shardFixture(b)
 	backends := make([]router.Backend, len(shards))

@@ -83,13 +83,15 @@
 //	             -shard s0=http://host:8081 -shard s1=http://host:8082 \
 //	             [-http :8080] [-timeout 5s]
 //		serve the exact scatter-gather router over running shard
-//		backends (one -shard name=url per manifest entry; each backend
-//		is a plain `fairindexctl serve` holding that shard's
-//		artifact). Locate/range/knn/stats answers are bit-identical to
-//		a server holding the unsharded artifact; score and report are
-//		refused (whole-index operations). SIGHUP or POST /v1/reload
-//		re-reads the manifest file for generation handoffs, and
-//		GET /v1/shards reports per-backend health and generation.
+//		backends (one -shard name=url[,url...] replica set per manifest
+//		entry; each backend is a plain `fairindexctl serve` holding
+//		that shard's artifact). Locate answers come from the manifest
+//		without a backend call; locate/range/knn/stats answers are
+//		bit-identical to a server holding the unsharded artifact;
+//		score and report are refused (whole-index operations).
+//		SIGHUP or POST /v1/reload re-reads the manifest file for
+//		generation handoffs, and GET /v1/shards reports per-backend
+//		health and generation.
 //
 //	fairindexctl query range -minlat .. -maxlat .. -minlon .. -maxlon .. city.fidx
 //	fairindexctl query knn -lat .. -lon .. [-k 5] city.fidx
@@ -769,7 +771,23 @@ func serveHTTP(ctx context.Context, srv *server.Server, addr string, onReady fun
 	if onReady != nil {
 		onReady(ln.Addr())
 	}
-	hs := &http.Server{Handler: srv}
+	return serveListener(ctx, ln, srv)
+}
+
+// Connection limits for every HTTP listener fairindexctl runs (serve
+// and route): a client must finish sending its request headers within
+// readHeaderTimeout, and a keep-alive connection idle for idleTimeout
+// is closed, so a client trickling bytes cannot pin a goroutine and a
+// file descriptor forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// serveListener serves h on ln until ctx is done, then shuts down
+// gracefully.
+func serveListener(ctx context.Context, ln net.Listener, h http.Handler) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	select {

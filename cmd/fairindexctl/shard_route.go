@@ -7,13 +7,11 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	fairindex "fairindex"
 	"fairindex/internal/router"
@@ -120,7 +118,6 @@ func runRouteCmd(args []string) error {
 	httpAddr := fs.String("http", ":8080", "listen address")
 	manifestPath := fs.String("manifest", "", "shard plan manifest file (required)")
 	timeout := fs.Duration("timeout", router.DefaultTimeout, "per-shard request timeout")
-	hedge := fs.Duration("hedge", 0, "hedged-read delay for locate-class calls (0 disables)")
 	var backends backendFlags
 	fs.Var(&backends, "shard", "shard replica set as name=url[,url...] (repeat per manifest entry)")
 	if err := fs.Parse(args); err != nil {
@@ -147,8 +144,7 @@ func runRouteCmd(args []string) error {
 		return fmt.Errorf("route: %w", err)
 	}
 	rt, err := router.New(m, backends,
-		router.WithTimeout(*timeout), router.WithHedge(*hedge),
-		router.WithManifestSource(source))
+		router.WithTimeout(*timeout), router.WithManifestSource(source))
 	if err != nil {
 		return fmt.Errorf("route: %w", err)
 	}
@@ -192,15 +188,5 @@ func routeHTTP(ctx context.Context, rt *router.Router, addr string, onReady func
 	if onReady != nil {
 		onReady(ln.Addr())
 	}
-	hs := &http.Server{Handler: rt}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return hs.Shutdown(shutCtx)
-	}
+	return serveListener(ctx, ln, rt)
 }

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +21,8 @@ import (
 	"time"
 
 	fairindex "fairindex"
+	"fairindex/internal/router"
+	"fairindex/internal/server"
 	"fairindex/internal/shard"
 )
 
@@ -350,8 +355,9 @@ func TestShardRouteSubprocessE2E(t *testing.T) {
 // TestShardRouteFailoverSubprocessE2E is the kill-one-replica drill
 // with real process isolation: two serve subprocesses per shard,
 // SIGKILL one replica of every shard mid-hammer, and require zero
-// non-200 locates with bodies identical to the whole index — the
-// headline robustness acceptance criterion.
+// non-200 kNN answers with bodies identical to the whole index — the
+// headline robustness acceptance criterion. kNN fans out to every
+// shard, so every request exercises failover once the kill lands.
 func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e")
@@ -378,7 +384,7 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 
 	// Two replicas per shard, the first of each doomed to SIGKILL.
 	var doomed []*os.Process
-	routeArgs := []string{"route", "-http", "127.0.0.1:0", "-manifest", manifestPath, "-hedge", "50ms"}
+	routeArgs := []string{"route", "-http", "127.0.0.1:0", "-manifest", manifestPath}
 	for _, s := range m.Shards {
 		artifact := filepath.Join(outDir, fmt.Sprintf("city-%s.fidx", s.Name))
 		addrA, procA := spawnProc(t, "serve", "-http", "127.0.0.1:0", artifact)
@@ -388,30 +394,26 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 	}
 	base := "http://" + spawn(t, routeArgs...)
 
-	locate := func(i int) {
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
+	get := func(url string) (int, string) {
 		t.Helper()
-		r := ds.Records[i*13%len(ds.Records)]
-		resp, err := http.Get(fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", base, r.Lat, r.Lon))
+		resp, err := http.Get(url)
 		if err != nil {
-			t.Fatalf("locate %d: %v", i, err)
+			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("locate %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		var out struct {
-			Region int `json:"region"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		want, err := whole.Locate(r.Lat, r.Lon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Region != want {
-			t.Fatalf("locate %d: region %d, want %d", i, out.Region, want)
+		return resp.StatusCode, string(body)
+	}
+	knn := func(i int) {
+		t.Helper()
+		r := ds.Records[i*13%len(ds.Records)]
+		path := fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=5", r.Lat, r.Lon)
+		_, want := get(wts.URL + path)
+		status, got := get(base + path)
+		if status != http.StatusOK || got != want {
+			t.Fatalf("knn %d: status %d\nrouter %s\nwhole  %s", i, status, got, want)
 		}
 	}
 
@@ -422,7 +424,7 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 				p.Kill()
 			}
 		}
-		locate(i)
+		knn(i)
 	}
 
 	// The health surface shows both replicas per shard, the dead one
@@ -458,5 +460,96 @@ func TestShardRouteFailoverSubprocessE2E(t *testing.T) {
 		if s.Replicas[1].Status != "ok" {
 			t.Errorf("shard %s: surviving replica status %q", s.Name, s.Replicas[1].Status)
 		}
+	}
+}
+
+// TestListenersDropSlowHeaders pins the connection limits of both
+// HTTP listeners: a client that sends a partial request header and
+// then stalls is disconnected once readHeaderTimeout passes, instead
+// of holding a goroutine and a file descriptor forever.
+func TestListenersDropSlowHeaders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+	_, idxPath, _ := writeCityAndIndex(t, t.TempDir())
+	whole, err := fairindex.LoadIndex(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := shard.Split(whole, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backends []router.Backend
+	for _, s := range m.Shards {
+		backends = append(backends, router.Backend{Name: s.Name, URL: "http://127.0.0.1:1"})
+	}
+	rt, err := router.New(m, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, run := range map[string]func(context.Context, func(net.Addr)) error{
+		"serve": func(ctx context.Context, ready func(net.Addr)) error {
+			return serveHTTP(ctx, srv, "127.0.0.1:0", ready)
+		},
+		"route": func(ctx context.Context, ready func(net.Addr)) error { return routeHTTP(ctx, rt, "127.0.0.1:0", ready) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithCancel(context.Background())
+			addrCh := make(chan net.Addr, 1)
+			done := make(chan error, 1)
+			go func() { done <- run(ctx, func(a net.Addr) { addrCh <- a }) }()
+			defer func() {
+				cancel()
+				if err := <-done; err != nil {
+					t.Errorf("shutdown: %v", err)
+				}
+			}()
+			var addr string
+			select {
+			case a := <-addrCh:
+				addr = a.String()
+			case err := <-done:
+				t.Fatalf("listener exited early: %v", err)
+			}
+
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			start := time.Now()
+			if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+			n, err := conn.Read(make([]byte, 512))
+			elapsed := time.Since(start)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("connection still open %v after a partial header", elapsed)
+			}
+			if n != 0 || err == nil {
+				t.Errorf("read %d bytes (err %v), want the connection closed", n, err)
+			}
+			if elapsed < readHeaderTimeout/2 {
+				t.Errorf("closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
+			}
+
+			// A complete request on a fresh connection still answers.
+			resp, err := http.Get("http://" + addr + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("healthz: status %d", resp.StatusCode)
+			}
+		})
 	}
 }

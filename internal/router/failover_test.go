@@ -1,8 +1,9 @@
 package router_test
 
-// Replica-set fault suites: failover, circuit breaker, hedged reads,
-// all-replicas-dead degradation, reply truncation and caller-deadline
-// budgeting, all driven through the faultnet fault-injection proxy.
+// Replica-set fault suites: failover, circuit breaker,
+// all-replicas-dead degradation, reply truncation, caller-deadline
+// budgeting and backend-free locates, all driven through the faultnet
+// fault-injection proxy.
 // Run with -race (the shard-e2e CI job does).
 
 import (
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -144,9 +144,9 @@ func TestRouterFailoverKilledReplica(t *testing.T) {
 }
 
 // TestRouterAllReplicasDead pins the degradation floor: with every
-// replica of one shard dead, point queries on that shard 502, live
-// shards keep answering, and window stats degrade partial — exactly
-// the single-backend fault contract.
+// replica of one shard dead, kNN and range 502, point lookups keep
+// answering from the manifest, and window stats degrade partial —
+// exactly the single-backend fault contract.
 func TestRouterAllReplicasDead(t *testing.T) {
 	whole := buildWhole(t)
 	c := newReplicaCluster(t, whole, 3, 2)
@@ -159,29 +159,22 @@ func TestRouterAllReplicasDead(t *testing.T) {
 		p.Set(faultnet.Fault{Mode: faultnet.Kill})
 	}
 
-	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, deadLat, deadLon), "", nil)
-	if status != http.StatusBadGateway {
-		t.Errorf("locate via dead shard: status %d, want 502", status)
-	}
-	var loc struct {
-		Region int `json:"region"`
-	}
-	status, _ = doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, liveLat, liveLon), "", &loc)
-	if status != http.StatusOK {
-		t.Fatalf("locate via live shard: status %d", status)
-	}
-	if want, _ := whole.Locate(liveLat, liveLon); loc.Region != want {
-		t.Errorf("live locate region %d, want %d", loc.Region, want)
-	}
 	for _, rq := range []struct{ method, path, body string }{
 		{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=3", liveLat, liveLon), ""},
 		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
 	} {
-		status, _ := doJSON(t, rq.method, rts.URL+rq.path, rq.body, nil)
+		var resp struct {
+			Error string `json:"error"`
+		}
+		status, _ := doJSON(t, rq.method, rts.URL+rq.path, rq.body, &resp)
 		if status != http.StatusBadGateway {
 			t.Errorf("%s %s with dead shard: status %d, want 502", rq.method, rq.path, status)
 		}
+		if !strings.Contains(resp.Error, "all 2 replicas") {
+			t.Errorf("%s %s: error %q does not report the exhausted replica set", rq.method, rq.path, resp.Error)
+		}
 	}
+	requireLocates(t, rts.URL, whole, []float64{deadLat, liveLat}, []float64{deadLon, liveLon})
 
 	allRegions := make([]int, whole.NumRegions())
 	liveRegions := make([]int, 0, whole.NumRegions())
@@ -194,7 +187,7 @@ func TestRouterAllReplicasDead(t *testing.T) {
 	}
 	var got statsWire
 	body, _ := json.Marshal(map[string]any{"task": task, "regions": allRegions})
-	status, _ = doJSON(t, "POST", rts.URL+"/v1/stats", string(body), &got)
+	status, _ := doJSON(t, "POST", rts.URL+"/v1/stats", string(body), &got)
 	if status != http.StatusOK {
 		t.Fatalf("partial stats: status %d", status)
 	}
@@ -217,17 +210,17 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	c := newReplicaCluster(t, whole, 2, 2)
 	rt, rts := c.newRouter(t, router.WithBreaker(2, 40*time.Millisecond, 80*time.Millisecond))
 	name := c.manifest.Shards[0].Name
-	lat, lon := pointInShard(t, c.manifest, 0)
-	locate := func() int {
+	// kNN fans out to every shard, so each probe is one call to shard 0.
+	knn := func() int {
 		t.Helper()
-		status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", nil)
+		status, _ := doJSON(t, "GET", rts.URL+"/v1/knn?lat=34.0&lon=-118.4&k=3", "", nil)
 		return status
 	}
 
 	c.proxies[0][0].Set(faultnet.Fault{Mode: faultnet.Kill})
 	for i := 0; i < 6; i++ {
-		if status := locate(); status != http.StatusOK {
-			t.Fatalf("locate %d with one dead replica: status %d", i, status)
+		if status := knn(); status != http.StatusOK {
+			t.Fatalf("knn %d with one dead replica: status %d", i, status)
 		}
 	}
 	hs := rt.ShardHealth(name)
@@ -266,8 +259,8 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	c.proxies[0][0].Set(faultnet.Fault{Mode: faultnet.Healthy})
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if status := locate(); status != http.StatusOK {
-			t.Fatalf("locate during recovery: status %d", status)
+		if status := knn(); status != http.StatusOK {
+			t.Fatalf("knn during recovery: status %d", status)
 		}
 		if hs := rt.ShardHealth(name); hs[0].State == "closed" && hs[0].ConsecFails == 0 {
 			break
@@ -279,70 +272,24 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	}
 }
 
-// TestRouterHedgedLocate pins hedged reads: with one replica
-// black-holed and a short hedge delay, locates answer fast and
-// correct (the sibling wins), and the black-holed losers are canceled
-// rather than leaked.
-func TestRouterHedgedLocate(t *testing.T) {
-	whole := buildWhole(t)
-	c := newReplicaCluster(t, whole, 2, 2)
-	_, rts := c.newRouter(t,
-		router.WithTimeout(5*time.Second),
-		router.WithHedge(25*time.Millisecond),
-		// High threshold keeps the breaker out of the picture: every
-		// request must win via the hedge, not via a learned ordering.
-		router.WithBreaker(1000, time.Second, time.Second))
-	lat, lon := pointInShard(t, c.manifest, 0)
-	wantRegion, err := whole.Locate(lat, lon)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c.proxies[0][0].Set(faultnet.Fault{Mode: faultnet.BlackHole})
-	start := time.Now()
-	const rounds = 6
-	for i := 0; i < rounds; i++ {
-		var loc struct {
-			Region int `json:"region"`
-		}
-		status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", &loc)
-		if status != http.StatusOK || loc.Region != wantRegion {
-			t.Fatalf("hedged locate %d: status %d region %d (want %d)", i, status, loc.Region, wantRegion)
-		}
-	}
-	// Every round is bounded by roughly hedge delay + healthy RTT; the
-	// 2.5s per-attempt budget of the black-holed replica never gates.
-	if elapsed := time.Since(start); elapsed > rounds*500*time.Millisecond {
-		t.Errorf("hedged locates took %v — hedge did not engage", elapsed)
-	}
-	// Losers are canceled: the black-holed requests all drain.
-	deadline := time.Now().Add(3 * time.Second)
-	for c.proxies[0][0].Holding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d hedged losers still held — not canceled", c.proxies[0][0].Holding())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestRouterReplyTruncation pins the reply-size cap: a backend
 // response exceeding the configured cap is a deterministic shard
 // failure (502 naming the cap), never a silently truncated merge.
 func TestRouterReplyTruncation(t *testing.T) {
 	whole := buildWhole(t)
 	c := newCluster(t, whole, 2)
-	rt, err := router.New(c.manifest, c.backendList(), router.WithMaxReplyBytes(64))
+	const replyCap = 200
+	rt, err := router.New(c.manifest, c.backendList(), router.WithMaxReplyBytes(replyCap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	// A single locate reply fits in 64 bytes and still answers.
-	lat, lon := pointInShard(t, c.manifest, 0)
-	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", nil)
+	// A small kNN reply per shard fits under the cap and still answers.
+	status, _ := doJSON(t, "GET", rts.URL+"/v1/knn?lat=34.0&lon=-118.4&k=1", "", nil)
 	if status != http.StatusOK {
-		t.Fatalf("small-reply locate under cap: status %d", status)
+		t.Fatalf("small-reply knn under cap: status %d", status)
 	}
 	// A whole-box range reply cannot: deterministic 502, cap named.
 	var resp struct {
@@ -354,15 +301,16 @@ func TestRouterReplyTruncation(t *testing.T) {
 	if status != http.StatusBadGateway {
 		t.Fatalf("oversized range reply: status %d, want 502", status)
 	}
-	if !strings.Contains(resp.Error, "64-byte cap") {
+	if !strings.Contains(resp.Error, fmt.Sprintf("%d-byte cap", replyCap)) {
 		t.Errorf("truncation error does not name the cap: %q", resp.Error)
 	}
 }
 
-// TestRouterCallerDeadlineBudget pins the budget bugfix: failover
+// TestRouterCallerDeadlineBudget pins the budget rule: failover
 // attempts split min(router timeout, remaining caller deadline), so
 // a request whose context expires in 300ms cannot spend the router's
-// 10s timeout per replica.
+// 10s timeout per replica — and its abandoned attempts are canceled
+// rather than leaked.
 func TestRouterCallerDeadlineBudget(t *testing.T) {
 	whole := buildWhole(t)
 	c := newReplicaCluster(t, whole, 2, 2)
@@ -375,10 +323,9 @@ func TestRouterCallerDeadlineBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, lon := pointInShard(t, c.manifest, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	req := httptest.NewRequest("GET", fmt.Sprintf("/v1/locate?lat=%v&lon=%v", lat, lon), nil).WithContext(ctx)
+	req := httptest.NewRequest("GET", "/v1/knn?lat=34.0&lon=-118.4&k=3", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	start := time.Now()
 	rt.ServeHTTP(rec, req)
@@ -388,6 +335,17 @@ func TestRouterCallerDeadlineBudget(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("request outlived its caller: %v elapsed against a 300ms deadline", elapsed)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for _, replicas := range c.proxies {
+		for _, p := range replicas {
+			for p.Holding() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d black-holed attempts still held — not canceled", p.Holding())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
 	}
 }
 
@@ -416,32 +374,27 @@ func TestRouterStaleReplicaNoFailover(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	lat, lon := pointInShard(t, c.manifest, 0)
-	wantRegion, err := whole.Locate(lat, lon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := whole.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantGen := strconv.FormatUint(gen, 10)
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
+	// kNN fans out to every shard, so each probe is one call to shard 0,
+	// whose rotation alternates between the stale and current replica.
+	const probe = "/v1/knn?lat=34.0&lon=-118.4&k=3"
+	wantBody, _, wantHdr := rawResponse(t, "GET", wts.URL+probe, "")
+	wantGen := wantHdr.Get(server.GenerationHeader)
 	var saw409, saw200 bool
 	for i := 0; i < 8; i++ {
-		var loc struct {
-			Region int `json:"region"`
-		}
-		status, hdr := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, lat, lon), "", &loc)
+		body, status, hdr := rawResponse(t, "GET", rts.URL+probe, "")
 		switch status {
 		case http.StatusOK:
 			saw200 = true
-			if loc.Region != wantRegion || hdr.Get(server.GenerationHeader) != wantGen {
-				t.Fatalf("200 with wrong answer: region %d gen %q", loc.Region, hdr.Get(server.GenerationHeader))
+			if body != wantBody || hdr.Get(server.GenerationHeader) != wantGen {
+				t.Fatalf("200 with wrong answer: gen %q (want %s)\nrouter %s\nwhole  %s",
+					hdr.Get(server.GenerationHeader), wantGen, body, wantBody)
 			}
 		case http.StatusConflict:
 			saw409 = true // the stale replica was hit and refused, not papered over
 		default:
-			t.Fatalf("locate %d: status %d, want 200 or 409", i, status)
+			t.Fatalf("knn %d: status %d, want 200 or 409", i, status)
 		}
 	}
 	if !saw409 {
@@ -449,5 +402,59 @@ func TestRouterStaleReplicaNoFailover(t *testing.T) {
 	}
 	if !saw200 {
 		t.Error("current replica never answered")
+	}
+}
+
+// TestRouterLocateWithoutBackends pins the locate contract: point
+// lookups are answered from the router's manifest, so with every
+// replica of every shard dead they still return 200 with bodies and
+// generation identical to a whole-index server — and no backend is
+// ever called.
+func TestRouterLocateWithoutBackends(t *testing.T) {
+	whole := buildWhole(t)
+	c := newReplicaCluster(t, whole, 3, 2)
+	_, rts := c.newRouter(t)
+	wts := httptest.NewServer(server.New(whole))
+	defer wts.Close()
+	for _, replicas := range c.proxies {
+		for _, p := range replicas {
+			p.Set(faultnet.Fault{Mode: faultnet.Kill})
+		}
+	}
+
+	var lats, lons []string
+	for s := range c.manifest.Shards {
+		lat, lon := pointInShard(t, c.manifest, s)
+		lats = append(lats, fmt.Sprint(lat))
+		lons = append(lons, fmt.Sprint(lon))
+	}
+	requests := []struct{ method, path, body string }{
+		{"POST", "/v1/locate_batch", fmt.Sprintf(`{"lats":[%s],"lons":[%s]}`, strings.Join(lats, ","), strings.Join(lons, ","))},
+		{"POST", "/v1/locate_batch", `{"lats":[34.0,"NaN",34.2],"lons":[-118.3,-118.5,"Infinity"]}`},
+		{"POST", "/v1/locate_batch", `{"lats":[34.0],"lons":[]}`},
+		{"POST", "/v1/locate", `{"lat":"NaN"}`},
+		{"GET", "/v1/locate?lat=34.0", ""},
+	}
+	for i := range lats {
+		requests = append(requests,
+			struct{ method, path, body string }{"GET", fmt.Sprintf("/v1/locate?lat=%s&lon=%s", lats[i], lons[i]), ""},
+			struct{ method, path, body string }{"POST", "/v1/locate", fmt.Sprintf(`{"lat":%s,"lon":%s}`, lats[i], lons[i])})
+	}
+	for _, rq := range requests {
+		want, wantStatus, wantHdr := rawResponse(t, rq.method, wts.URL+rq.path, rq.body)
+		got, gotStatus, gotHdr := rawResponse(t, rq.method, rts.URL+rq.path, rq.body)
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("%s %s %s:\nrouter %d %s\nwhole  %d %s", rq.method, rq.path, rq.body, gotStatus, got, wantStatus, want)
+		}
+		if g, w := gotHdr.Get(server.GenerationHeader), wantHdr.Get(server.GenerationHeader); w != "" && g != w {
+			t.Errorf("%s %s: generation %q, whole server %q", rq.method, rq.path, g, w)
+		}
+	}
+	for s, replicas := range c.proxies {
+		for r, p := range replicas {
+			if n := p.Calls(); n != 0 {
+				t.Errorf("shard %d replica %d: %d backend calls, want 0", s, r, n)
+			}
+		}
 	}
 }

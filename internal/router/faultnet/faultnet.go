@@ -3,7 +3,7 @@
 // proxy the first router suites hand-rolled: one Proxy fronts a real
 // backend handler and, on command, kills connections, black-holes
 // requests, delays them, or fails a deterministic percentage — the
-// four failure shapes the failover, breaker, hedge and
+// four failure shapes the failover, breaker, caller-deadline and
 // all-replicas-dead suites need. Faults switch atomically at any
 // time, so a test can kill a replica mid-hammer and heal it later.
 //
@@ -93,8 +93,8 @@ func (p *Proxy) Calls() int64 { return p.calls.Load() }
 func (p *Proxy) Faulted() int64 { return p.faulted.Load() }
 
 // Holding returns how many black-holed requests are currently held —
-// zero once every abandoned caller (a hedged loser, a timed-out
-// attempt) has been canceled, which is how tests observe that the
+// zero once every abandoned caller (a timed-out attempt, a vanished
+// client) has been canceled, which is how tests observe that the
 // router released its losers.
 func (p *Proxy) Holding() int64 { return p.holding.Load() }
 
@@ -123,7 +123,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Drain the request first: the net/http server only watches for
 		// client disconnects once the body is consumed, and a black hole
 		// that never unblocks on caller cancellation would leak every
-		// hedged loser it is supposed to observe.
+		// abandoned attempt it is supposed to observe.
 		io.Copy(io.Discard, r.Body)
 		p.holding.Add(1)
 		<-r.Context().Done()

@@ -9,6 +9,13 @@
 // server holding the whole index, a property pinned by the
 // sharded-vs-whole HTTP parity suite.
 //
+// Locate and LocateBatch never leave the router: the manifest carries
+// the whole index's canonical cell→region table, so the router answers
+// point lookups from its current snapshot and stamps that snapshot's
+// generation. They keep answering with every backend down, and they
+// follow a new plan once the manifest is reloaded (SIGHUP, POST
+// /v1/reload, or a fan-out call that detects a generation mismatch).
+//
 // Consistency model: every fan-out binds to one manifest snapshot and
 // verifies each backend reply's Fairindex-Generation header against
 // the snapshot's expected shard fingerprint. A mismatch — a backend
@@ -24,17 +31,14 @@
 // guided by a passive per-replica circuit breaker (health.go) — with
 // the per-shard time budget split across the remaining attempts, so
 // one dead replica degrades to its sibling instead of failing the
-// request. Optionally, locate-class calls hedge: after WithHedge's
-// delay the next replica is fired concurrently and the first valid
-// reply wins, the loser canceled. A shard "fails" only when every
-// replica refused; only then are Locate, LocateBatch, RangeQuery and
-// kNN exact-or-fail — an unreachable shard is a 502, because a
-// missing shard's regions would silently corrupt the answer. Window
-// stats degrade instead: live shards' statistics are merged exactly
-// and the response carries "partial": true naming no invented
-// numbers — the aggregates are the true aggregates of the regions
-// that answered. Score and Report are whole-index operations (scoring
-// needs the true region centroid assignment) and answer 501.
+// request. A shard "fails" only when every replica refused; only then
+// are RangeQuery and kNN exact-or-fail — an unreachable shard is a
+// 502, because a missing shard's regions would silently corrupt the
+// answer. Window stats degrade instead: live shards' statistics are
+// merged exactly and the response carries "partial": true naming no
+// invented numbers — the aggregates are the true aggregates of the
+// regions that answered. Score and Report are whole-index operations
+// (scoring needs the true region centroid assignment) and answer 501.
 //
 // Replicas are deployment configuration, not artifact identity: the
 // manifest codec is unchanged, and every replica of a shard must
@@ -119,7 +123,6 @@ type Router struct {
 	timeout  time.Duration
 	maxBatch int
 	maxReply int64
-	hedge    time.Duration
 	breaker  breakerConfig
 	logger   *log.Logger
 	mux      *http.ServeMux
@@ -191,20 +194,6 @@ func WithLogger(l *log.Logger) Option {
 // and POST /v1/reload.
 func WithManifestSource(src ManifestSource) Option {
 	return func(rt *Router) { rt.source = src }
-}
-
-// WithHedge enables hedged reads for locate-class calls: when a
-// replica has not answered after d, the next replica is fired
-// concurrently and the first valid reply wins (the loser is
-// canceled). Zero disables hedging (the default). Hedging never
-// changes answers — every replica serves the same fingerprinted
-// artifact — only tail latency under a slow replica.
-func WithHedge(d time.Duration) Option {
-	return func(rt *Router) {
-		if d > 0 {
-			rt.hedge = d
-		}
-	}
 }
 
 // WithBreaker tunes the per-replica circuit breaker: threshold
@@ -574,13 +563,11 @@ func queryFloat(r *http.Request, key string) (float64, error) {
 
 // Scatter machinery.
 
-// shardCall is one backend request of a fan-out. hedge marks
-// locate-class calls eligible for hedged reads under WithHedge.
+// shardCall is one backend request of a fan-out.
 type shardCall struct {
 	method string
 	path   string
 	body   []byte // nil for GET
-	hedge  bool
 }
 
 // shardReply is one backend's answer: transport error, or status plus
@@ -638,13 +625,9 @@ func failsOver(rep shardReply) bool {
 // min(rt.timeout, remaining caller deadline) — attempts never outlive
 // the caller, and each attempt's own timeout is its fair share of
 // what remains (remaining / attempts left), so a black-holed replica
-// cannot starve its siblings. Failover is sequential; when the call
-// is hedgeable and WithHedge is set, the next replica is additionally
-// fired after the hedge delay while the previous attempt is still in
-// flight, and the first non-failing reply wins (losers are canceled
-// and their canceled outcomes never count against replica health).
-// The reply is the first terminal one, or the last failure once every
-// replica refused — the only way a shard fails.
+// cannot starve its siblings. The reply is the first terminal one, or
+// the last failure once every replica refused — the only way a shard
+// fails.
 func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, call shardCall) shardReply {
 	name := st.manifest.Shards[shardIdx].Name
 	urls := st.replicas[shardIdx]
@@ -663,78 +646,36 @@ func (rt *Router) callShard(ctx context.Context, st *routerState, shardIdx int, 
 		return shardReply{err: fmt.Errorf("router: no time budget left for shard %q: %w", name, context.DeadlineExceeded)}
 	}
 	deadline := time.Now().Add(total)
-	bctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
 
-	type attemptResult struct {
-		idx int // index into order
-		rep shardReply
-	}
-	resCh := make(chan attemptResult, len(order))
-	launched, pending := 0, 0
-	// launch starts the next attempt in order with its fair share of
-	// the remaining budget. Health bookkeeping happens in the attempt
-	// goroutine so hedged losers are accounted even after the winner
-	// returned — except canceled losers, which are neutral.
-	launch := func() {
-		idx := launched
-		launched++
-		pending++
-		url := urls[order[idx]]
+	var last shardReply
+	for i, r := range order {
+		url := urls[r]
 		h := rt.health[url]
 		h.recordAttempt()
-		attemptBudget := time.Until(deadline) / time.Duration(len(order)-idx)
-		isProbe := idx == probe
-		go func() {
-			actx, acancel := context.WithTimeout(bctx, attemptBudget)
-			defer acancel()
-			rep := rt.doCall(actx, url, call)
-			switch {
-			case errors.Is(rep.err, context.Canceled):
-				// A hedged loser (the winner canceled the fan-in) or a
-				// vanished client — neither says anything about the replica.
-			case failsOver(rep):
-				h.recordFailure(time.Now(), rep.err)
-			default:
-				h.recordSuccess()
-			}
-			if isProbe {
-				h.releaseProbe()
-			}
-			resCh <- attemptResult{idx: idx, rep: rep}
-		}()
-	}
-
-	launch()
-	var last shardReply
-	for {
-		var hedgeTimer <-chan time.Time
-		if call.hedge && rt.hedge > 0 && launched < len(order) {
-			hedgeTimer = time.After(rt.hedge)
+		actx, cancel := context.WithTimeout(ctx, time.Until(deadline)/time.Duration(len(order)-i))
+		rep := rt.doCall(actx, url, call)
+		cancel()
+		switch {
+		case errors.Is(rep.err, context.Canceled):
+			// The caller went away — that says nothing about the replica.
+		case failsOver(rep):
+			h.recordFailure(time.Now(), rep.err)
+		default:
+			h.recordSuccess()
 		}
-		select {
-		case res := <-resCh:
-			pending--
-			if !failsOver(res.rep) {
-				return res.rep
-			}
-			last = res.rep
-			if launched < len(order) {
-				launch()
-				continue
-			}
-			if pending > 0 {
-				continue // a hedged sibling may still answer
-			}
-			if len(order) > 1 {
-				last.err = fmt.Errorf("router: all %d replicas of shard %q failed, last: %w",
-					len(order), name, replyError(last))
-			}
-			return last
-		case <-hedgeTimer:
-			launch()
+		if i == probe {
+			h.releaseProbe()
 		}
+		if !failsOver(rep) {
+			return rep
+		}
+		last = rep
 	}
+	if len(order) > 1 {
+		last.err = fmt.Errorf("router: all %d replicas of shard %q failed, last: %w",
+			len(order), name, replyError(last))
+	}
+	return last
 }
 
 // replyError normalizes a failed reply into one error for wrapping.
@@ -1006,15 +947,20 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleLocate routes a point query by cell: the manifest's cell→
-// region table names the owning region and hence the one shard to ask;
-// the backend's answer (in its local id space) is translated back and
-// cross-checked against the manifest.
+// locate answers a point query from the snapshot's manifest: the
+// cell→region table is the whole index's own, so the result is exact
+// for the snapshot's generation without asking any shard.
+func (st *routerState) locate(lat, lon float64) int {
+	return st.manifest.RegionOfCell(st.manifest.Grid.Index(st.mapper.CellOf(lat, lon)))
+}
+
+// handleLocate answers a point query from the current manifest
+// snapshot, stamped with that snapshot's generation.
 func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
-	// Stamp the current generation up front so even locally-rejected
-	// requests carry it, matching the server's resolve-then-validate
-	// order; fan-out paths re-stamp with the snapshot that answered.
-	setGeneration(w, rt.state.Load())
+	// Stamp before validating so even rejected requests carry the
+	// generation, matching the server's resolve-then-validate order.
+	st := rt.state.Load()
+	setGeneration(w, st)
 	var req locateRequest
 	if r.Method == http.MethodGet {
 		var err error
@@ -1037,49 +983,15 @@ func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("fairindex: non-finite coordinate (%v, %v)", req.Lat, req.Lon))
 		return
 	}
-	var owner, want int
-	body, _ := json.Marshal(locateRequest{Lat: req.Lat, Lon: req.Lon})
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		cell := st.mapper.CellOf(req.Lat, req.Lon)
-		want = st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
-		owner = st.manifest.ShardOfRegion(want)
-		return map[int]shardCall{owner: {method: http.MethodPost, path: "/v1/locate", body: body, hedge: true}}, nil
-	})
-	if herr != nil {
-		rt.writeError(w, herr.status, herr)
-		return
-	}
-	rep := replies[owner]
-	if down := failedShards(st, replies); len(down) > 0 {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
-	}
-	if rep.status != http.StatusOK {
-		rt.relay(w, st, rep)
-		return
-	}
-	var resp locateResponse
-	if err := json.Unmarshal(rep.body, &resp); err != nil {
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("router: shard %q: malformed locate response: %v", st.manifest.Shards[owner].Name, err))
-		return
-	}
-	global, ok := st.manifest.ToGlobal(owner, resp.Region)
-	if !ok || global != want {
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
-			"router: shard %q located region %d, manifest expects %d", st.manifest.Shards[owner].Name, resp.Region, want))
-		return
-	}
-	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, locateResponse{Region: global})
+	rt.writeJSON(w, http.StatusOK, locateResponse{Region: st.locate(req.Lat, req.Lon)})
 }
 
-// handleLocateBatch splits a batch by owning shard, fans the per-shard
-// sub-batches out, and scatters the translated answers back into
-// request order. Invalid (non-finite) points never reach a backend:
-// they are resolved locally with the whole index's exact sentinel and
-// error text, original point indices preserved.
+// handleLocateBatch answers a batch from the current manifest
+// snapshot. Invalid (non-finite) points resolve to the whole index's
+// exact sentinel and error text, original point indices preserved.
 func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
-	setGeneration(w, rt.state.Load())
+	st := rt.state.Load()
+	setGeneration(w, st)
 	var req locateBatchRequest
 	if err := decodeJSON(r, &req); err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
@@ -1100,90 +1012,29 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	n := len(req.Lats)
-	regions := make([]int, n)
+	regions := make([]int, len(req.Lats))
 	var (
 		errs    []string
 		invalid int
-		subLats [][]float64
-		subLons [][]float64
-		subPos  [][]int
 	)
-	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
-		numShards := len(st.manifest.Shards)
-		subLats = make([][]float64, numShards)
-		subLons = make([][]float64, numShards)
-		subPos = make([][]int, numShards)
-		errs = errs[:0]
-		invalid = 0
-		for i := 0; i < n; i++ {
-			lat, lon := req.Lats[i], req.Lons[i]
-			// x−x is 0 exactly when x is finite — the same predicate
-			// fairindex.locateRange uses, so error text and order match.
-			if lat-lat != 0 || lon-lon != 0 {
-				regions[i] = fairindex.RegionInvalid
-				invalid++
-				if len(errs) < 8 {
-					errs = append(errs, fmt.Sprintf("fairindex: point %d: non-finite coordinate (%v, %v)", i, lat, lon))
-				}
-				continue
+	for i, lat := range req.Lats {
+		lon := req.Lons[i]
+		// x−x is 0 exactly when x is finite — the same predicate
+		// fairindex.locateRange uses, so error text and order match.
+		if lat-lat != 0 || lon-lon != 0 {
+			regions[i] = fairindex.RegionInvalid
+			invalid++
+			if len(errs) < 8 {
+				errs = append(errs, fmt.Sprintf("fairindex: point %d: non-finite coordinate (%v, %v)", i, lat, lon))
 			}
-			cell := st.mapper.CellOf(lat, lon)
-			region := st.manifest.RegionOfCell(st.manifest.Grid.Index(cell))
-			regions[i] = region
-			s := st.manifest.ShardOfRegion(region)
-			subLats[s] = append(subLats[s], lat)
-			subLons[s] = append(subLons[s], lon)
-			subPos[s] = append(subPos[s], i)
+			continue
 		}
-		if invalid > len(errs) {
-			errs = append(errs, fmt.Sprintf("fairindex: %d further invalid points", invalid-len(errs)))
-		}
-		calls := make(map[int]shardCall, numShards)
-		for s := range subLats {
-			if len(subLats[s]) == 0 {
-				continue
-			}
-			body, err := json.Marshal(locateBatchRequest{Lats: subLats[s], Lons: subLons[s]})
-			if err != nil {
-				return nil, &httpError{http.StatusInternalServerError, err.Error()}
-			}
-			calls[s] = shardCall{method: http.MethodPost, path: "/v1/locate_batch", body: body, hedge: true}
-		}
-		return calls, nil
-	})
-	if herr != nil {
-		rt.writeError(w, herr.status, herr)
-		return
+		regions[i] = st.locate(lat, lon)
 	}
-	if down := failedShards(st, replies); len(down) > 0 {
-		rt.writeError(w, http.StatusBadGateway, rt.unreachableError(st, replies, down))
-		return
+	if invalid > len(errs) {
+		errs = append(errs, fmt.Sprintf("fairindex: %d further invalid points", invalid-len(errs)))
 	}
-	if rep, ok := firstClientError(st, replies); ok {
-		rt.relay(w, st, rep)
-		return
-	}
-	for s, rep := range replies {
-		var sub locateBatchResponse
-		if err := json.Unmarshal(rep.body, &sub); err != nil || len(sub.Regions) != len(subPos[s]) {
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
-				"router: shard %q: malformed batch response", st.manifest.Shards[s].Name))
-			return
-		}
-		for j, local := range sub.Regions {
-			global, ok := st.manifest.ToGlobal(s, local)
-			if !ok || global != regions[subPos[s][j]] {
-				rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
-					"router: shard %q located region %d for point %d, manifest expects %d",
-					st.manifest.Shards[s].Name, local, subPos[s][j], regions[subPos[s][j]]))
-				return
-			}
-		}
-	}
-	resp := locateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")}
-	setGeneration(w, st)
-	rt.writeJSON(w, http.StatusOK, resp)
+	rt.writeJSON(w, http.StatusOK, locateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")})
 }
 
 // handleRange fans the rectangle to every shard and concatenates the

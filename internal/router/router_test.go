@@ -186,6 +186,13 @@ func TestRouterAnswersMatchWholeServer(t *testing.T) {
 // rawRequest returns a response body verbatim for byte comparison.
 func rawRequest(t *testing.T, method, url, body string) (string, int) {
 	t.Helper()
+	data, status, _ := rawResponse(t, method, url, body)
+	return data, status
+}
+
+// rawResponse is rawRequest plus the response headers.
+func rawResponse(t *testing.T, method, url, body string) (string, int, http.Header) {
+	t.Helper()
 	var rd io.Reader
 	if body != "" {
 		rd = strings.NewReader(body)
@@ -206,7 +213,7 @@ func rawRequest(t *testing.T, method, url, body string) (string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data), resp.StatusCode
+	return string(data), resp.StatusCode, resp.Header
 }
 
 // TestRouterUnsupportedEndpoints pins the 501 contract for whole-index
@@ -324,10 +331,11 @@ func TestRouterShardsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouterKillOneShard pins the fault contract: point and geometry
-// queries needing the dead shard hard-fail with 502, a Locate owned by
-// a live shard still answers, and window stats degrade to an exact
-// partial aggregate over the live shards.
+// TestRouterKillOneShard pins the fault contract: geometry queries
+// needing the dead shard hard-fail with 502, point lookups keep
+// answering from the manifest (the dead shard's cells included), and
+// window stats degrade to an exact partial aggregate over the live
+// shards.
 func TestRouterKillOneShard(t *testing.T) {
 	whole := buildWhole(t)
 	c := newCluster(t, whole, 3)
@@ -338,26 +346,8 @@ func TestRouterKillOneShard(t *testing.T) {
 	liveLat, liveLon := pointInShard(t, c.manifest, 0)
 	c.backends[1].Close()
 
-	// Locate routed to the dead shard: 502.
-	status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, deadLat, deadLon), "", nil)
-	if status != http.StatusBadGateway {
-		t.Errorf("locate via dead shard: status %d, want 502", status)
-	}
-	// Locate owned by a live shard: unaffected — routing is by cell.
-	var loc struct {
-		Region int `json:"region"`
-	}
-	status, _ = doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, liveLat, liveLon), "", &loc)
-	if status != http.StatusOK {
-		t.Fatalf("locate via live shard: status %d", status)
-	}
-	if want, _ := whole.Locate(liveLat, liveLon); loc.Region != want {
-		t.Errorf("live locate region %d, want %d", loc.Region, want)
-	}
-
-	// Batch containing a dead-shard point, kNN and range: 502.
+	// kNN and range need every shard: 502.
 	for _, rq := range []struct{ method, path, body string }{
-		{"POST", "/v1/locate_batch", fmt.Sprintf(`{"lats":[%v,%v],"lons":[%v,%v]}`, liveLat, deadLat, liveLon, deadLon)},
 		{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=3", liveLat, liveLon), ""},
 		{"POST", "/v1/range", `{"min_lat":33.8,"min_lon":-118.6,"max_lat":34.1,"max_lon":-118.2}`},
 	} {
@@ -366,6 +356,9 @@ func TestRouterKillOneShard(t *testing.T) {
 			t.Errorf("%s %s with dead shard: status %d, want 502", rq.method, rq.path, status)
 		}
 	}
+	// Point lookups never leave the router: the dead shard's cells
+	// still locate, singly and in a batch.
+	requireLocates(t, rts.URL, whole, []float64{liveLat, deadLat}, []float64{liveLon, deadLon})
 
 	// Window stats: partial, naming the dead shard, with the live
 	// regions' aggregates bit-identical to the whole index restricted
@@ -381,7 +374,7 @@ func TestRouterKillOneShard(t *testing.T) {
 	}
 	var got statsWire
 	body, _ := json.Marshal(map[string]any{"task": task, "regions": allRegions})
-	status, _ = doJSON(t, "POST", rts.URL+"/v1/stats", string(body), &got)
+	status, _ := doJSON(t, "POST", rts.URL+"/v1/stats", string(body), &got)
 	if status != http.StatusOK {
 		t.Fatalf("partial stats: status %d", status)
 	}
@@ -528,14 +521,45 @@ func TestRouterGenerationMismatch(t *testing.T) {
 	}
 }
 
+// requireLocates checks GET /v1/locate for every point and one POST
+// /v1/locate_batch over all of them against the in-process whole index.
+func requireLocates(t *testing.T, base string, whole *fairindex.Index, lats, lons []float64) {
+	t.Helper()
+	want, err := whole.LocateBatch(lats, lons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lats {
+		var loc struct {
+			Region int `json:"region"`
+		}
+		status, _ := doJSON(t, "GET", fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", base, lats[i], lons[i]), "", &loc)
+		if status != http.StatusOK || loc.Region != want[i] {
+			t.Errorf("locate(%v,%v): status %d region %d, want 200 region %d", lats[i], lons[i], status, loc.Region, want[i])
+		}
+	}
+	body, _ := json.Marshal(map[string][]float64{"lats": lats, "lons": lons})
+	var batch struct {
+		Regions []int `json:"regions"`
+	}
+	status, _ := doJSON(t, "POST", base+"/v1/locate_batch", string(body), &batch)
+	if status != http.StatusOK || fmt.Sprint(batch.Regions) != fmt.Sprint(want) {
+		t.Errorf("locate_batch: status %d regions %v, want 200 %v", status, batch.Regions, want)
+	}
+}
+
 // TestRouterHotReloadRetry pins the recovery path: when the backends
-// move to a new generation and the manifest source follows, a request
-// that observes the mismatch reloads the manifest and succeeds on its
-// single retry.
+// move to a new generation and the manifest source follows, a fan-out
+// request that observes the mismatch reloads the manifest and
+// succeeds on its single retry. Locates, which call no backend, keep
+// answering for the old plan until that reload and for the new one
+// after it.
 func TestRouterHotReloadRetry(t *testing.T) {
 	wholeA := buildWhole(t)
 	wholeB := buildWhole(t, fairindex.WithHeight(5), fairindex.WithSeed(11))
 	c := newCluster(t, wholeA, 2)
+	wtsB := httptest.NewServer(server.New(wholeB))
+	defer wtsB.Close()
 
 	mB, shardsB, err := shard.Split(wholeB, 2)
 	if err != nil {
@@ -559,38 +583,58 @@ func TestRouterHotReloadRetry(t *testing.T) {
 		srv.Swap(shardsB[i])
 	}
 
-	var resp struct {
-		Region int `json:"region"`
+	const locatePath = "/v1/locate?lat=34.05&lon=-118.35"
+	genOf := func(ix *fairindex.Index) string {
+		fp, err := ix.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strconv.FormatUint(fp, 10)
 	}
-	status, hdr := doJSON(t, "GET", rts.URL+"/v1/locate?lat=34.05&lon=-118.35", "", &resp)
-	if status != http.StatusOK {
-		t.Fatalf("locate after hot reload: status %d", status)
+	_, hdr := doJSON(t, "GET", rts.URL+locatePath, "", nil)
+	if got := hdr.Get(server.GenerationHeader); got != genOf(wholeA) {
+		t.Errorf("locate before any fan-out: generation %q, want the loaded plan's %s", got, genOf(wholeA))
 	}
-	want, err := wholeB.Locate(34.05, -118.35)
+
+	const knnPath = "/v1/knn?lat=34.05&lon=-118.35&k=4"
+	wantBody, _ := rawRequest(t, "GET", wtsB.URL+knnPath, "")
+	resp, err := http.Get(rts.URL + knnPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Region != want {
-		t.Errorf("region %d, want generation B's %d", resp.Region, want)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != wantBody {
+		t.Fatalf("knn after hot reload: status %d\nrouter  %s\nwhole B %s", resp.StatusCode, body, wantBody)
 	}
-	genB, err := wholeB.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hdr.Get("Fairindex-Generation"); got != strconv.FormatUint(genB, 10) {
-		t.Errorf("response generation %q, want %d", got, genB)
+	if got := resp.Header.Get(server.GenerationHeader); got != genOf(wholeB) {
+		t.Errorf("response generation %q, want %s", got, genOf(wholeB))
 	}
 	if rt.Reloads() == 0 {
 		t.Error("router answered without reloading the manifest")
 	}
+
+	var loc struct {
+		Region int `json:"region"`
+	}
+	_, hdr = doJSON(t, "GET", rts.URL+locatePath, "", &loc)
+	want, err := wholeB.Locate(34.05, -118.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc.Region != want || hdr.Get(server.GenerationHeader) != genOf(wholeB) {
+		t.Errorf("locate after reload: region %d gen %q, want generation B's %d / %s",
+			loc.Region, hdr.Get(server.GenerationHeader), want, genOf(wholeB))
+	}
 }
 
-// TestRouterConsistencyUnderConcurrentReload hammers the router from
-// many goroutines while the deployment flips generations, asserting
-// every single response is internally consistent: a 200 carries one
-// generation's header AND that generation's exact answer, transition
-// windows yield only 409s (or 502 for requests caught mid-swap),
-// never a mixed or wrong-generation body. Run with -race.
+// TestRouterConsistencyUnderConcurrentReload hammers a fan-out
+// endpoint from many goroutines while the deployment flips
+// generations, asserting every single response is internally
+// consistent: a 200 carries one generation's header AND that
+// generation's exact bytes, transition windows yield only 409s (or
+// 502 for requests caught mid-swap), never a mixed or wrong-generation
+// body. Run with -race.
 func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 	wholeA := buildWhole(t)
 	wholeB := buildWhole(t, fairindex.WithHeight(5), fairindex.WithSeed(11))
@@ -609,21 +653,20 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 	rts := httptest.NewServer(rt)
 	defer rts.Close()
 
-	const probeLat, probeLon = 34.07, -118.33
-	genOf := func(ix *fairindex.Index) string {
+	const probe = "/v1/knn?lat=34.07&lon=-118.33&k=5"
+	wantBody := map[string]string{}
+	for _, ix := range []*fairindex.Index{wholeA, wholeB} {
 		fp, err := ix.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return strconv.FormatUint(fp, 10)
-	}
-	wantRegion := map[string]int{}
-	for _, ix := range []*fairindex.Index{wholeA, wholeB} {
-		r, err := ix.Locate(probeLat, probeLon)
-		if err != nil {
-			t.Fatal(err)
+		wts := httptest.NewServer(server.New(ix))
+		body, status := rawRequest(t, "GET", wts.URL+probe, "")
+		wts.Close()
+		if status != http.StatusOK {
+			t.Fatalf("whole-index probe: status %d", status)
 		}
-		wantRegion[genOf(ix)] = r
+		wantBody[strconv.FormatUint(fp, 10)] = body
 	}
 
 	var (
@@ -637,7 +680,7 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				resp, err := http.Get(fmt.Sprintf("%s/v1/locate?lat=%v&lon=%v", rts.URL, probeLat, probeLon))
+				resp, err := http.Get(rts.URL + probe)
 				if err != nil {
 					record(fmt.Sprintf("transport error: %v", err))
 					return
@@ -647,16 +690,13 @@ func TestRouterConsistencyUnderConcurrentReload(t *testing.T) {
 				switch resp.StatusCode {
 				case http.StatusOK:
 					gen := resp.Header.Get("Fairindex-Generation")
-					want, known := wantRegion[gen]
+					want, known := wantBody[gen]
 					if !known {
 						record(fmt.Sprintf("200 with unknown generation %q", gen))
 						return
 					}
-					var out struct {
-						Region int `json:"region"`
-					}
-					if err := json.Unmarshal(body, &out); err != nil || out.Region != want {
-						record(fmt.Sprintf("generation %q answered region %d, want %d (err %v)", gen, out.Region, want, err))
+					if string(body) != want {
+						record(fmt.Sprintf("generation %q answered %s, want %s", gen, body, want))
 						return
 					}
 				case http.StatusConflict, http.StatusBadGateway:
