@@ -80,11 +80,7 @@ type backendFlags []router.Backend
 func (b *backendFlags) String() string {
 	parts := make([]string, len(*b))
 	for i, be := range *b {
-		urls := be.URLs
-		if len(urls) == 0 && be.URL != "" {
-			urls = []string{be.URL}
-		}
-		parts[i] = be.Name + "=" + strings.Join(urls, ",")
+		parts[i] = be.Name + "=" + strings.Join(be.URLs, ",")
 	}
 	return strings.Join(parts, " ")
 }

@@ -486,7 +486,7 @@ func TestListenersDropSlowHeaders(t *testing.T) {
 	}
 	var backends []router.Backend
 	for _, s := range m.Shards {
-		backends = append(backends, router.Backend{Name: s.Name, URL: "http://127.0.0.1:1"})
+		backends = append(backends, router.Backend{Name: s.Name, URLs: []string{"http://127.0.0.1:1"}})
 	}
 	rt, err := router.New(m, backends)
 	if err != nil {

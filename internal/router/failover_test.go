@@ -21,6 +21,7 @@ import (
 	"fairindex/internal/router/faultnet"
 	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // replicaCluster is a sharded deployment where every shard is served
@@ -380,16 +381,16 @@ func TestRouterStaleReplicaNoFailover(t *testing.T) {
 	// whose rotation alternates between the stale and current replica.
 	const probe = "/v1/knn?lat=34.0&lon=-118.4&k=3"
 	wantBody, _, wantHdr := rawResponse(t, "GET", wts.URL+probe, "")
-	wantGen := wantHdr.Get(server.GenerationHeader)
+	wantGen := wantHdr.Get(wire.GenerationHeader)
 	var saw409, saw200 bool
 	for i := 0; i < 8; i++ {
 		body, status, hdr := rawResponse(t, "GET", rts.URL+probe, "")
 		switch status {
 		case http.StatusOK:
 			saw200 = true
-			if body != wantBody || hdr.Get(server.GenerationHeader) != wantGen {
+			if body != wantBody || hdr.Get(wire.GenerationHeader) != wantGen {
 				t.Fatalf("200 with wrong answer: gen %q (want %s)\nrouter %s\nwhole  %s",
-					hdr.Get(server.GenerationHeader), wantGen, body, wantBody)
+					hdr.Get(wire.GenerationHeader), wantGen, body, wantBody)
 			}
 		case http.StatusConflict:
 			saw409 = true // the stale replica was hit and refused, not papered over
@@ -446,7 +447,7 @@ func TestRouterLocateWithoutBackends(t *testing.T) {
 		if gotStatus != wantStatus || got != want {
 			t.Errorf("%s %s %s:\nrouter %d %s\nwhole  %d %s", rq.method, rq.path, rq.body, gotStatus, got, wantStatus, want)
 		}
-		if g, w := gotHdr.Get(server.GenerationHeader), wantHdr.Get(server.GenerationHeader); w != "" && g != w {
+		if g, w := gotHdr.Get(wire.GenerationHeader), wantHdr.Get(wire.GenerationHeader); w != "" && g != w {
 			t.Errorf("%s %s: generation %q, whole server %q", rq.method, rq.path, g, w)
 		}
 	}

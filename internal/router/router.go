@@ -68,47 +68,26 @@ import (
 
 	fairindex "fairindex"
 	"fairindex/internal/geo"
-	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // DefaultTimeout bounds each per-shard backend call unless overridden
 // with WithTimeout.
 const DefaultTimeout = 5 * time.Second
 
-// DefaultMaxBatch mirrors the backend server's default request-size
-// bound (points per batch, regions per stats window).
-const DefaultMaxBatch = 1 << 20
-
 // maxReplyBytes caps how much of one backend response body the router
 // reads; a larger reply is a deterministic shard failure, never a
 // silent truncation. Override with WithMaxReplyBytes.
 const maxReplyBytes = 64 << 20
 
-// maxBodyBytes caps client request bodies, matching internal/server.
-const maxBodyBytes = 64 << 20
-
 // Backend names one shard's replica set: the manifest shard it serves
 // and the base URLs (scheme://host:port) of the interchangeable
-// servers answering for it, in preference order. URL is the
-// single-replica convenience form; when URLs is non-empty it wins and
-// URL is ignored. Every replica must serve the exact artifact the
-// manifest fingerprints for the shard.
+// servers answering for it, in preference order. Every replica must
+// serve the exact artifact the manifest fingerprints for the shard.
 type Backend struct {
 	Name string
-	URL  string
 	URLs []string
-}
-
-// urls normalizes the two spellings into one replica list.
-func (b Backend) urls() []string {
-	if len(b.URLs) > 0 {
-		return b.URLs
-	}
-	if b.URL != "" {
-		return []string{b.URL}
-	}
-	return nil
 }
 
 // ManifestSource re-reads the shard manifest, e.g. from its file; the
@@ -121,7 +100,6 @@ type ManifestSource func() (*shard.Manifest, error)
 type Router struct {
 	client   *http.Client
 	timeout  time.Duration
-	maxBatch int
 	maxReply int64
 	breaker  breakerConfig
 	logger   *log.Logger
@@ -172,15 +150,6 @@ func WithClient(c *http.Client) Option {
 	}
 }
 
-// WithMaxBatch caps request sizes (default DefaultMaxBatch).
-func WithMaxBatch(n int) Option {
-	return func(rt *Router) {
-		if n > 0 {
-			rt.maxBatch = n
-		}
-	}
-}
-
 // WithLogger routes router warnings to l.
 func WithLogger(l *log.Logger) Option {
 	return func(rt *Router) {
@@ -223,7 +192,6 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 	rt := &Router{
 		client:   &http.Client{},
 		timeout:  DefaultTimeout,
-		maxBatch: DefaultMaxBatch,
 		maxReply: maxReplyBytes,
 		breaker:  breakerConfig{threshold: DefaultBreakerThreshold, base: DefaultBreakerBackoff, maxBackoff: DefaultBreakerMaxBackoff},
 		logger:   log.Default(),
@@ -241,7 +209,7 @@ func New(m *shard.Manifest, backends []Backend, opts ...Option) (*Router, error)
 		if _, dup := rt.backends[b.Name]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %q", b.Name)
 		}
-		urls := b.urls()
+		urls := b.URLs
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: backend %q has no URL", b.Name)
 		}
@@ -346,104 +314,8 @@ func (rt *Router) reloadState() (*routerState, error) {
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	rt.mux.ServeHTTP(w, r)
-}
-
-// Wire types mirror internal/server's field order exactly so merged
-// responses are byte-compatible with a whole-index server's.
-
-type locateRequest struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-}
-
-type locateResponse struct {
-	Region int `json:"region"`
-}
-
-type locateBatchRequest struct {
-	Lats []float64 `json:"lats"`
-	Lons []float64 `json:"lons"`
-}
-
-type locateBatchResponse struct {
-	Regions []int  `json:"regions"`
-	Invalid int    `json:"invalid,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-type rectJSON struct {
-	MinLat float64 `json:"min_lat"`
-	MinLon float64 `json:"min_lon"`
-	MaxLat float64 `json:"max_lat"`
-	MaxLon float64 `json:"max_lon"`
-}
-
-type regionOverlapJSON struct {
-	Region   int     `json:"region"`
-	Cells    int     `json:"cells"`
-	Fraction float64 `json:"fraction"`
-}
-
-type rangeResponse struct {
-	Regions []regionOverlapJSON `json:"regions"`
-	Count   int                 `json:"count"`
-}
-
-type knnRequest struct {
-	Lat     float64 `json:"lat"`
-	Lon     float64 `json:"lon"`
-	K       int     `json:"k"`
-	Squared bool    `json:"squared,omitempty"`
-}
-
-type neighborDistJSON struct {
-	Region   int     `json:"region"`
-	Distance float64 `json:"distance"`
-}
-
-type knnResponse struct {
-	Neighbors []neighborDistJSON `json:"neighbors"`
-	Squared   bool               `json:"squared,omitempty"`
-}
-
-type statsRequest struct {
-	Task    int       `json:"task"`
-	Regions []int     `json:"regions,omitempty"`
-	Rect    *rectJSON `json:"rect,omitempty"`
-	Metrics []string  `json:"metrics,omitempty"`
-	Sums    bool      `json:"sums,omitempty"`
-}
-
-type regionStatJSON struct {
-	Region   int       `json:"region"`
-	Count    int       `json:"count"`
-	MeanConf jsonFloat `json:"mean_conf"`
-	PosRate  jsonFloat `json:"pos_rate"`
-	Miscal   jsonFloat `json:"miscal"`
-	CalRatio jsonFloat `json:"cal_ratio"`
-	SumScore *float64  `json:"sum_score,omitempty"`
-	SumLabel *float64  `json:"sum_label,omitempty"`
-}
-
-type statsResponse struct {
-	Task     int                  `json:"task"`
-	Count    int                  `json:"count"`
-	MeanConf jsonFloat            `json:"mean_conf"`
-	PosRate  jsonFloat            `json:"pos_rate"`
-	Miscal   jsonFloat            `json:"miscal"`
-	CalRatio jsonFloat            `json:"cal_ratio"`
-	ENCE     jsonFloat            `json:"ence"`
-	Metrics  map[string]jsonFloat `json:"metrics,omitempty"`
-	Regions  []regionStatJSON     `json:"regions"`
-	// Partial marks a degraded window-stats response: some shards were
-	// unreachable and the aggregates cover only the regions that
-	// answered (exactly). Absent on complete responses, so a healthy
-	// deployment's bytes match a whole-index server's.
-	Partial bool `json:"partial,omitempty"`
-	// FailedShards names the shards a partial response is missing.
-	FailedShards []string `json:"failed_shards,omitempty"`
 }
 
 type healthzResponse struct {
@@ -496,23 +368,6 @@ type reloadResponse struct {
 	Reloads    int64  `json:"reloads"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// jsonFloat mirrors internal/server's NaN/Inf→null float encoding so
-// merged stats bytes match a whole-index server's.
-type jsonFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
-}
-
 // writeJSON writes v with the given status.
 func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -524,41 +379,14 @@ func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError writes a JSON error body.
 func (rt *Router) writeError(w http.ResponseWriter, status int, err error) {
-	rt.writeJSON(w, status, errorResponse{Error: err.Error()})
+	rt.writeJSON(w, status, wire.ErrorResponse{Error: err.Error()})
 }
 
 // setGeneration stamps the manifest generation — the whole source
 // index's fingerprint, so it matches what a whole-index server would
 // send — on a data response.
 func setGeneration(w http.ResponseWriter, st *routerState) {
-	w.Header().Set(server.GenerationHeader, strconv.FormatUint(st.manifest.Generation, 10))
-}
-
-// decodeJSON strictly decodes a single JSON object request body,
-// matching internal/server's request discipline.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("invalid JSON body: trailing data")
-	}
-	return nil
-}
-
-// queryFloat parses a required float query parameter.
-func queryFloat(r *http.Request, key string) (float64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", key)
-	}
-	f, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %v", key, err)
-	}
-	return f, nil
+	w.Header().Set(wire.GenerationHeader, strconv.FormatUint(st.manifest.Generation, 10))
 }
 
 // Scatter machinery.
@@ -713,7 +541,7 @@ func (rt *Router) doCall(ctx context.Context, url string, call shardCall) shardR
 	if int64(len(data)) > rt.maxReply {
 		return shardReply{err: fmt.Errorf("router: reply exceeds %d-byte cap", rt.maxReply)}
 	}
-	return shardReply{status: resp.StatusCode, body: data, gen: resp.Header.Get(server.GenerationHeader)}
+	return shardReply{status: resp.StatusCode, body: data, gen: resp.Header.Get(wire.GenerationHeader)}
 }
 
 // mismatched returns the shards whose reply's generation header does
@@ -957,22 +785,12 @@ func (st *routerState) locate(lat, lon float64) int {
 // handleLocate answers a point query from the current manifest
 // snapshot, stamped with that snapshot's generation.
 func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
-	// Stamp before validating so even rejected requests carry the
-	// generation, matching the server's resolve-then-validate order.
+	// Stamp before validating: every router response names the
+	// generation it answers for, even a rejected request's.
 	st := rt.state.Load()
 	setGeneration(w, st)
-	var req locateRequest
-	if r.Method == http.MethodGet {
-		var err error
-		if req.Lat, err = queryFloat(r, "lat"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Lon, err = queryFloat(r, "lon"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := wire.ParseLocate(r)
+	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -983,7 +801,7 @@ func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("fairindex: non-finite coordinate (%v, %v)", req.Lat, req.Lon))
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, locateResponse{Region: st.locate(req.Lat, req.Lon)})
+	rt.writeJSON(w, http.StatusOK, wire.LocateResponse{Region: st.locate(req.Lat, req.Lon)})
 }
 
 // handleLocateBatch answers a batch from the current manifest
@@ -992,8 +810,8 @@ func (rt *Router) handleLocate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	st := rt.state.Load()
 	setGeneration(w, st)
-	var req locateBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	var req wire.LocateBatchRequest
+	if err := wire.DecodeJSON(r, &req); err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1006,9 +824,9 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	if len(req.Lats) > rt.maxBatch {
+	if len(req.Lats) > wire.DefaultMaxBatch {
 		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Lats), rt.maxBatch))
+			fmt.Errorf("batch of %d points exceeds limit %d", len(req.Lats), wire.DefaultMaxBatch))
 		return
 	}
 
@@ -1034,7 +852,7 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	if invalid > len(errs) {
 		errs = append(errs, fmt.Sprintf("fairindex: %d further invalid points", invalid-len(errs)))
 	}
-	rt.writeJSON(w, http.StatusOK, locateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")})
+	rt.writeJSON(w, http.StatusOK, wire.LocateBatchResponse{Regions: regions, Invalid: invalid, Error: strings.Join(errs, "\n")})
 }
 
 // handleRange fans the rectangle to every shard and concatenates the
@@ -1042,8 +860,8 @@ func (rt *Router) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 // concatenation is the whole index's ascending-id result.
 func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
 	setGeneration(w, rt.state.Load())
-	var req rectJSON
-	if err := decodeJSON(r, &req); err != nil {
+	var req wire.Rect
+	if err := wire.DecodeJSON(r, &req); err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1069,7 +887,7 @@ func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 	lists := make([][]fairindex.RegionOverlap, len(st.manifest.Shards))
 	for i := range st.manifest.Shards {
-		var sub rangeResponse
+		var sub wire.RangeResponse
 		if err := json.Unmarshal(replies[i].body, &sub); err != nil {
 			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed range response: %v", st.manifest.Shards[i].Name, err))
@@ -1082,53 +900,30 @@ func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
 		lists[i] = st.manifest.TranslateOverlaps(i, ovs)
 	}
 	merged := shard.MergeOverlaps(lists...)
-	resp := rangeResponse{Regions: make([]regionOverlapJSON, len(merged)), Count: len(merged)}
+	resp := wire.RangeResponse{Regions: make([]wire.RegionOverlap, len(merged)), Count: len(merged)}
 	for i, ov := range merged {
-		resp.Regions[i] = regionOverlapJSON{Region: ov.Region, Cells: ov.Cells, Fraction: ov.Fraction}
+		resp.Regions[i] = wire.RegionOverlap{Region: ov.Region, Cells: ov.Cells, Fraction: ov.Fraction}
 	}
 	setGeneration(w, st)
 	rt.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleKNN fans the query to every shard in squared-distance space
-// (k+1 candidates each, so dropping one sentinel per shard cannot
-// starve the merge), merges on the exact (squared distance, id)
-// selection key, and takes square roots last.
+// handleKNN fans the query to every shard in squared-distance space,
+// merges on the exact (squared distance, id) selection key, and takes
+// square roots last. Each shard is asked for min(k, regions)+1
+// candidates: one more than it could ever contribute, so dropping its
+// sentinel cannot starve the merge, and never more than the limit the
+// client's own k passed.
 func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 	setGeneration(w, rt.state.Load())
-	var req knnRequest
-	if r.Method == http.MethodGet {
-		var err error
-		if req.Lat, err = queryFloat(r, "lat"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Lon, err = queryFloat(r, "lon"); err != nil {
-			rt.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		raw := r.URL.Query().Get("k")
-		if raw == "" {
-			rt.writeError(w, http.StatusBadRequest, errors.New("missing query parameter \"k\""))
-			return
-		}
-		if req.K, err = strconv.Atoi(raw); err != nil {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"k\": %v", err))
-			return
-		}
-		if raw := r.URL.Query().Get("squared"); raw != "" {
-			if req.Squared, err = strconv.ParseBool(raw); err != nil {
-				rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"squared\": %v", err))
-				return
-			}
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := wire.ParseKNN(r)
+	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.K > rt.maxBatch {
+	if req.K > wire.DefaultMaxBatch {
 		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("k of %d exceeds limit %d", req.K, rt.maxBatch))
+			fmt.Errorf("k of %d exceeds limit %d", req.K, wire.DefaultMaxBatch))
 		return
 	}
 	// Replicate NearestRegions' exact refusals before asking any shard
@@ -1143,8 +938,9 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: k must be at least 1, got %d", fairindex.ErrQuery, req.K))
 		return
 	}
-	body, _ := json.Marshal(knnRequest{Lat: req.Lat, Lon: req.Lon, K: req.K + 1, Squared: true})
 	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
+		k := min(req.K, st.manifest.NumRegions) + 1
+		body, _ := json.Marshal(wire.KNNRequest{Lat: req.Lat, Lon: req.Lon, K: k, Squared: true})
 		calls := make(map[int]shardCall, len(st.manifest.Shards))
 		for i := range st.manifest.Shards {
 			calls[i] = shardCall{method: http.MethodPost, path: "/v1/knn", body: body}
@@ -1165,7 +961,7 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	lists := make([][]fairindex.RegionDistance, len(st.manifest.Shards))
 	for i := range st.manifest.Shards {
-		var sub knnResponse
+		var sub wire.KNNResponse
 		if err := json.Unmarshal(replies[i].body, &sub); err != nil {
 			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed knn response: %v", st.manifest.Shards[i].Name, err))
@@ -1183,9 +979,9 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 			merged[i].Distance = math.Sqrt(merged[i].Distance)
 		}
 	}
-	resp := knnResponse{Neighbors: make([]neighborDistJSON, len(merged)), Squared: req.Squared}
+	resp := wire.KNNResponse{Neighbors: make([]wire.Neighbor, len(merged)), Squared: req.Squared}
 	for i, nd := range merged {
-		resp.Neighbors[i] = neighborDistJSON{Region: nd.Region, Distance: nd.Distance}
+		resp.Neighbors[i] = wire.Neighbor{Region: nd.Region, Distance: nd.Distance}
 	}
 	setGeneration(w, st)
 	rt.writeJSON(w, http.StatusOK, resp)
@@ -1199,29 +995,20 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 // regions are aggregated exactly and the response is marked partial.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	setGeneration(w, rt.state.Load())
-	var req statsRequest
-	if r.Method == http.MethodGet {
-		if !rt.statsRequestFromQuery(w, r, &req) {
-			return
-		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := wire.ParseStats(r)
+	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if (req.Regions == nil) == (req.Rect == nil) {
-		rt.writeError(w, http.StatusBadRequest,
-			errors.New("exactly one of \"regions\" and \"rect\" must be given"))
-		return
-	}
-	if len(req.Regions) > rt.maxBatch {
+	if len(req.Regions) > wire.DefaultMaxBatch {
 		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(req.Regions), rt.maxBatch))
+			fmt.Errorf("window of %d regions exceeds limit %d", len(req.Regions), wire.DefaultMaxBatch))
 		return
 	}
 
 	var rectBody []byte
 	if req.Rect != nil {
-		rectBody, _ = json.Marshal(statsRequest{Task: req.Task, Rect: req.Rect, Sums: true})
+		rectBody, _ = json.Marshal(wire.StatsRequest{Task: req.Task, Rect: req.Rect, Sums: true})
 	}
 	st, replies, herr := rt.scatterConsistent(r.Context(), func(st *routerState) (map[int]shardCall, *httpError) {
 		calls := make(map[int]shardCall, len(st.manifest.Shards))
@@ -1256,7 +1043,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			if len(ids) == 0 {
 				continue
 			}
-			body, err := json.Marshal(statsRequest{Task: req.Task, Regions: ids, Sums: true})
+			body, err := json.Marshal(wire.StatsRequest{Task: req.Task, Regions: ids, Sums: true})
 			if err != nil {
 				return nil, &httpError{http.StatusInternalServerError, err.Error()}
 			}
@@ -1298,7 +1085,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		if !ok || downSet[i] {
 			continue
 		}
-		var sub statsResponse
+		var sub wire.StatsResponse
 		if err := json.Unmarshal(rep.body, &sub); err != nil {
 			rt.writeError(w, http.StatusBadGateway, fmt.Errorf(
 				"router: shard %q: malformed stats response: %v", st.manifest.Shards[i].Name, err))
@@ -1322,15 +1109,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// The rect path resolves the window server-side, so the whole
 	// server's post-resolution cap applies to the merged window here.
-	if len(gathered) > rt.maxBatch {
+	if len(gathered) > wire.DefaultMaxBatch {
 		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("window of %d regions exceeds limit %d", len(gathered), rt.maxBatch))
+			fmt.Errorf("window of %d regions exceeds limit %d", len(gathered), wire.DefaultMaxBatch))
 		return
 	}
-	var (
-		ws  fairindex.WindowStats
-		err error
-	)
+	var ws fairindex.WindowStats
 	if req.Metrics != nil {
 		ws, err = fairindex.MergeWindowStatsMetrics(req.Task, gathered, req.Metrics...)
 	} else {
@@ -1343,101 +1127,17 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := statsResponse{
-		Task:     ws.Task,
-		Count:    ws.Count,
-		MeanConf: jsonFloat(ws.MeanConf),
-		PosRate:  jsonFloat(ws.PosRate),
-		Miscal:   jsonFloat(ws.Miscal),
-		CalRatio: jsonFloat(ws.CalRatio),
-		ENCE:     jsonFloat(ws.ENCE),
-		Regions:  make([]regionStatJSON, len(ws.Regions)),
-		Partial:  len(down) > 0,
-	}
-	resp.FailedShards = failedNames
-	if ws.Metrics != nil {
-		resp.Metrics = make(map[string]jsonFloat, len(ws.Metrics))
-		for name, v := range ws.Metrics {
-			resp.Metrics[name] = jsonFloat(v)
-		}
-	}
-	for i, rs := range ws.Regions {
-		resp.Regions[i] = regionStatJSON{
-			Region:   rs.Region,
-			Count:    rs.Count,
-			MeanConf: jsonFloat(rs.MeanConf),
-			PosRate:  jsonFloat(rs.PosRate),
-			Miscal:   jsonFloat(rs.Miscal),
-			CalRatio: jsonFloat(rs.CalRatio),
-		}
-		if req.Sums {
-			sc, sl := rs.SumScore, rs.SumLabel
-			resp.Regions[i].SumScore = &sc
-			resp.Regions[i].SumLabel = &sl
-		}
-	}
+	// Partial and FailedShards follow the shared shape, so a complete
+	// response encodes exactly as a whole-index server's.
+	resp := struct {
+		wire.StatsResponse
+		// Partial marks a degraded response: some shards were
+		// unreachable and the aggregates cover only the regions that
+		// answered (exactly).
+		Partial bool `json:"partial,omitempty"`
+		// FailedShards names the shards a partial response is missing.
+		FailedShards []string `json:"failed_shards,omitempty"`
+	}{wire.NewStatsResponse(ws, req.Sums), len(down) > 0, failedNames}
 	setGeneration(w, st)
 	rt.writeJSON(w, http.StatusOK, resp)
-}
-
-// statsRequestFromQuery parses the GET form of /v1/stats, mirroring
-// internal/server's parameter grammar (task, regions|rect, metrics,
-// sums).
-func (rt *Router) statsRequestFromQuery(w http.ResponseWriter, r *http.Request, req *statsRequest) bool {
-	q := r.URL.Query()
-	if raw := q.Get("task"); raw != "" {
-		task, err := strconv.Atoi(raw)
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"task\": %v", err))
-			return false
-		}
-		req.Task = task
-	}
-	if raw := q.Get("regions"); raw != "" {
-		for _, f := range strings.Split(raw, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"regions\": %v", err))
-				return false
-			}
-			req.Regions = append(req.Regions, v)
-		}
-	}
-	if raw := q.Get("rect"); raw != "" {
-		fields := strings.Split(raw, ",")
-		if len(fields) != 4 {
-			rt.writeError(w, http.StatusBadRequest,
-				errors.New("query parameter \"rect\": want minLat,minLon,maxLat,maxLon"))
-			return false
-		}
-		var vals [4]float64
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"rect\": %v", err))
-				return false
-			}
-			vals[i] = v
-		}
-		req.Rect = &rectJSON{MinLat: vals[0], MinLon: vals[1], MaxLat: vals[2], MaxLon: vals[3]}
-	}
-	if raw, ok := q["metrics"]; ok {
-		req.Metrics = []string{}
-		for _, part := range raw {
-			for _, f := range strings.Split(part, ",") {
-				if f = strings.TrimSpace(f); f != "" {
-					req.Metrics = append(req.Metrics, f)
-				}
-			}
-		}
-	}
-	if raw := q.Get("sums"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("query parameter \"sums\": %v", err))
-			return false
-		}
-		req.Sums = v
-	}
-	return true
 }

@@ -21,6 +21,7 @@ import (
 	"fairindex/internal/router/faultnet"
 	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // buildWhole builds one LA index for sharding tests.
@@ -74,7 +75,7 @@ func newCluster(t *testing.T, whole *fairindex.Index, n int) *cluster {
 func (c *cluster) backendList() []router.Backend {
 	out := make([]router.Backend, len(c.backends))
 	for i, ts := range c.backends {
-		out[i] = router.Backend{Name: c.manifest.Shards[i].Name, URL: ts.URL}
+		out[i] = router.Backend{Name: c.manifest.Shards[i].Name, URLs: []string{ts.URL}}
 	}
 	return out
 }
@@ -257,8 +258,8 @@ func TestRouterHealthzGeneration(t *testing.T) {
 	if health.Generation != want {
 		t.Errorf("healthz generation %q, want %s", health.Generation, want)
 	}
-	if got := hdr.Get(server.GenerationHeader); got != want {
-		t.Errorf("healthz %s = %q, want %s", server.GenerationHeader, got, want)
+	if got := hdr.Get(wire.GenerationHeader); got != want {
+		t.Errorf("healthz %s = %q, want %s", wire.GenerationHeader, got, want)
 	}
 
 	// No data-path request needed: the probe answers with every
@@ -267,8 +268,8 @@ func TestRouterHealthzGeneration(t *testing.T) {
 		ts.Close()
 	}
 	status, hdr = doJSON(t, "GET", rts.URL+"/healthz", "", &health)
-	if status != http.StatusOK || hdr.Get(server.GenerationHeader) != want {
-		t.Errorf("healthz with backends down: status %d gen %q", status, hdr.Get(server.GenerationHeader))
+	if status != http.StatusOK || hdr.Get(wire.GenerationHeader) != want {
+		t.Errorf("healthz with backends down: status %d gen %q", status, hdr.Get(wire.GenerationHeader))
 	}
 }
 
@@ -454,7 +455,7 @@ func TestRouterSlowShardTimeout(t *testing.T) {
 	defer slow.Close()
 	slow.Set(faultnet.Fault{Mode: faultnet.Slow, Delay: 300 * time.Millisecond})
 	backends := c.backendList()
-	backends[1].URL = slow.URL()
+	backends[1].URLs = []string{slow.URL()}
 	rt, err := router.New(c.manifest, backends, router.WithTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -592,7 +593,7 @@ func TestRouterHotReloadRetry(t *testing.T) {
 		return strconv.FormatUint(fp, 10)
 	}
 	_, hdr := doJSON(t, "GET", rts.URL+locatePath, "", nil)
-	if got := hdr.Get(server.GenerationHeader); got != genOf(wholeA) {
+	if got := hdr.Get(wire.GenerationHeader); got != genOf(wholeA) {
 		t.Errorf("locate before any fan-out: generation %q, want the loaded plan's %s", got, genOf(wholeA))
 	}
 
@@ -607,7 +608,7 @@ func TestRouterHotReloadRetry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(body) != wantBody {
 		t.Fatalf("knn after hot reload: status %d\nrouter  %s\nwhole B %s", resp.StatusCode, body, wantBody)
 	}
-	if got := resp.Header.Get(server.GenerationHeader); got != genOf(wholeB) {
+	if got := resp.Header.Get(wire.GenerationHeader); got != genOf(wholeB) {
 		t.Errorf("response generation %q, want %s", got, genOf(wholeB))
 	}
 	if rt.Reloads() == 0 {
@@ -622,9 +623,9 @@ func TestRouterHotReloadRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loc.Region != want || hdr.Get(server.GenerationHeader) != genOf(wholeB) {
+	if loc.Region != want || hdr.Get(wire.GenerationHeader) != genOf(wholeB) {
 		t.Errorf("locate after reload: region %d gen %q, want generation B's %d / %s",
-			loc.Region, hdr.Get(server.GenerationHeader), want, genOf(wholeB))
+			loc.Region, hdr.Get(wire.GenerationHeader), want, genOf(wholeB))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fairindex/internal/router"
 	"fairindex/internal/server"
 	"fairindex/internal/shard"
+	"fairindex/internal/wire"
 )
 
 // The HTTP sharded-vs-whole parity suite. The in-process merge kernels
@@ -124,6 +125,16 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 			fmt.Sprintf(`{"lat":%v,"lon":%v,"k":%d,"squared":true}`, lat, lon, k)})
 	}
 	reqs = append(reqs, parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=0", ""})
+	// k at the request limit: the router must not ask shards for more
+	// than the limit on the client's behalf.
+	lat, lon := point()
+	reqs = append(reqs, parityRequest{"GET", fmt.Sprintf("/v1/knn?lat=%v&lon=%v&k=%d", lat, lon, wire.DefaultMaxBatch), ""})
+	// Query-string grammar errors.
+	reqs = append(reqs,
+		parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=abc", ""},
+		parityRequest{"GET", "/v1/knn?lat=1&lon=2&k=3&squared=maybe", ""},
+		parityRequest{"GET", "/v1/knn?lat=1&k=3", ""},
+	)
 
 	// Window stats: explicit windows, rects, metric subsets, sums.
 	n := whole.NumRegions()
@@ -154,7 +165,26 @@ func parityBattery(whole *fairindex.Index) []parityRequest {
 		parityRequest{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[0],"rect":{"min_lat":0,"min_lon":0,"max_lat":1,"max_lon":1}}`, task)},
 		parityRequest{"POST", "/v1/stats", `{"task":12345,"regions":[0]}`},
 		parityRequest{"POST", "/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[0],"metrics":["nope"]}`, task)},
+		// GET stats grammar: rect windows, metrics= present but empty,
+		// and malformed parameters.
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v,%v", task, box.MinLat, box.MinLon, box.MaxLat, box.MaxLon), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&rect=%v,%v,%v", task, box.MinLat, box.MinLon, box.MaxLat), ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0,1&metrics=", task), ""},
+		parityRequest{"GET", "/v1/stats?task=x&regions=0", ""},
+		parityRequest{"GET", fmt.Sprintf("/v1/stats?task=%d&regions=0&sums=maybe", task), ""},
 	)
+	// Strict body decoding: unknown fields and trailing data.
+	for _, p := range [][2]string{
+		{"/v1/locate", `{"lat":1,"lon":2`},
+		{"/v1/knn", `{"lat":1,"lon":2,"k":3`},
+		{"/v1/range", `{"min_lat":0,"min_lon":0,"max_lat":1,"max_lon":1`},
+		{"/v1/stats", fmt.Sprintf(`{"task":%d,"regions":[0]`, task)},
+	} {
+		reqs = append(reqs,
+			parityRequest{"POST", p[0], p[1] + `,"bogus":1}`},
+			parityRequest{"POST", p[0], p[1] + `} {}`},
+		)
+	}
 	return reqs
 }
 
@@ -181,7 +211,7 @@ func replay(t *testing.T, base string, rq parityRequest) (int, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, string(data), resp.Header.Get(server.GenerationHeader)
+	return resp.StatusCode, string(data), resp.Header.Get(wire.GenerationHeader)
 }
 
 func TestShardedHTTPParity(t *testing.T) {
@@ -205,7 +235,7 @@ func TestShardedHTTPParity(t *testing.T) {
 					for i, sx := range shards {
 						ts := httptest.NewServer(server.New(sx))
 						defer ts.Close()
-						backends[i] = router.Backend{Name: m.Shards[i].Name, URL: ts.URL}
+						backends[i] = router.Backend{Name: m.Shards[i].Name, URLs: []string{ts.URL}}
 					}
 					rt, err := router.New(m, backends)
 					if err != nil {
