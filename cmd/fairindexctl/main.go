@@ -20,7 +20,9 @@
 //		fold new records into a saved index's live per-region
 //		statistics (partition and models unchanged) and report the
 //		drift they caused as a per-metric table; with -out the folded
-//		statistics are persisted so drift survives the next load.
+//		statistics are persisted. Only ENCE drift survives the next
+//		load: the artifact stores no other metric's baseline, so
+//		their drift restarts at 0.
 //		-threshold arms the rebuild recommendation on ENCE drift and
 //		-drift-metric (repeatable) on any registered fairness metric,
 //		for this invocation (thresholds are runtime policy, not part
@@ -49,6 +51,8 @@
 //		metric=threshold (repeatable) arms the same recommendation on
 //		any registered fairness metric (see docs/METRICS.md); the
 //		per-metric live drifts appear as "drifts" in /v1/indexes.
+//		-drift-threshold t is -drift-metric ence=t; an invalid
+//		threshold or metric name fails the boot.
 //
 //		-rebuild-source data.csv (a CSV file, or a directory holding
 //		one <name>.csv per entry) runs the drift-rebuild controller
@@ -124,6 +128,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"net"
 	"net/http"
@@ -295,13 +300,14 @@ func runBuildLike(cmd string, args []string, streaming bool) error {
 // runAppendCmd folds new records from a CSV into a saved index's live
 // per-region statistics and reports the calibration drift they
 // caused. With -out the updated artifact (folded statistics included)
-// is written back, so the drift measurement survives the next load.
+// is written back; the ENCE drift survives the next load, every other
+// metric's drift restarts at 0.
 func runAppendCmd(args []string) error {
 	fs := flag.NewFlagSet("append", flag.ExitOnError)
 	in := fs.String("in", "", "CSV of records to append (required; canonical layout)")
 	indexPath := fs.String("index", "", "serialized index file (or pass it positionally)")
-	out := fs.String("out", "", "write the updated artifact here (optional; may equal -index)")
-	threshold := fs.Float64("threshold", -1, "ENCE drift threshold to arm before folding (-1 = leave unarmed; the threshold is runtime policy, not stored in the artifact)")
+	out := fs.String("out", "", "write the updated artifact here (optional; may equal -index; only ENCE drift survives a reload)")
+	threshold := fs.Float64("threshold", 0, "ENCE drift threshold to arm before folding (0 = leave unarmed; the threshold is runtime policy, not stored in the artifact)")
 	driftMetrics := map[string]float64{}
 	fs.Func("drift-metric", "metric=threshold to arm before folding, e.g. stat_parity=0.05 (repeatable)",
 		func(v string) error { return parseDriftMetric(v, driftMetrics) })
@@ -323,15 +329,11 @@ func runAppendCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *threshold >= 0 {
-		if err := idx.SetDriftThreshold(*threshold); err != nil {
-			return err
-		}
-	}
-	for name, t := range driftMetrics {
-		if err := idx.SetMetricDriftThreshold(name, t); err != nil {
-			return err
-		}
+	// -threshold is the "ence" entry; -drift-metric ence=… wins.
+	thresholds := map[string]float64{fairindex.MetricENCE: *threshold}
+	maps.Copy(thresholds, driftMetrics)
+	if err := idx.SetDriftThresholds(thresholds); err != nil {
+		return err
 	}
 	// The appended CSV is decoded against the index's own geometry, so
 	// the records land in the partitioning they will be folded into.
@@ -664,7 +666,10 @@ func runServeCmd(args []string) error {
 		return fmt.Errorf("serve: at least one index file (-index, positional) or -dir is required")
 	}
 
-	srv, err := newServeServer(entries, *dir, *maxIndexes, *defName, *driftThr, driftMetrics)
+	// -drift-threshold is the "ence" entry; -drift-metric ence=… wins.
+	thresholds := map[string]float64{fairindex.MetricENCE: *driftThr}
+	maps.Copy(thresholds, driftMetrics)
+	srv, err := newServeServer(entries, *dir, *maxIndexes, *defName, thresholds)
 	if err != nil {
 		return err
 	}
@@ -694,8 +699,12 @@ func runServeCmd(args []string) error {
 // newServeServer assembles the index catalog from explicit entries
 // and/or a scanned artifact directory. Explicit files must exist
 // (fail fast at boot); directory entries load lazily on first use.
-func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName string, driftThr float64, driftMetrics map[string]float64) (*server.Server, error) {
-	var regOpts []registry.Option
+func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName string, driftThresholds map[string]float64) (*server.Server, error) {
+	// Invalid thresholds fail the boot, as they fail append.
+	if err := pipeline.CheckDriftThresholds(driftThresholds); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	regOpts := []registry.Option{registry.WithDriftThresholds(driftThresholds)}
 	if dir != "" {
 		regOpts = append(regOpts, registry.WithDir(dir))
 	}
@@ -704,18 +713,6 @@ func newServeServer(entries []indexSpec, dir string, maxIndexes int, defName str
 	}
 	if defName != "" {
 		regOpts = append(regOpts, registry.WithDefault(defName))
-	}
-	if driftThr > 0 {
-		regOpts = append(regOpts, registry.WithDriftThreshold(driftThr))
-	}
-	if len(driftMetrics) > 0 {
-		for name := range driftMetrics {
-			if _, ok := fairindex.MetricByName(name); !ok {
-				return nil, fmt.Errorf("serve: unknown drift metric %q (registered: %s)",
-					name, strings.Join(fairindex.Metrics(), ", "))
-			}
-		}
-		regOpts = append(regOpts, registry.WithDriftThresholds(driftMetrics))
 	}
 	reg := registry.New(regOpts...)
 	for _, e := range entries {

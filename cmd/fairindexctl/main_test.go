@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -259,7 +260,7 @@ func writeCityAndIndex(t *testing.T, dir string) (csvPath, idxPath string, ds *d
 func TestServeHTTPSmoke(t *testing.T) {
 	_, idxPath, ds := writeCityAndIndex(t, t.TempDir())
 
-	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", 0, nil)
+	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +368,38 @@ func TestServeArgValidation(t *testing.T) {
 	if _, err := parseIndexSpec("la="); err == nil {
 		t.Error("expected error for an empty path spec")
 	}
-	if _, err := newServeServer([]indexSpec{}, t.TempDir(), 0, "", 0, nil); err == nil {
+	if _, err := newServeServer([]indexSpec{}, t.TempDir(), 0, "", nil); err == nil {
 		t.Error("expected error for an empty artifact directory")
+	}
+}
+
+// TestServeDriftThresholdValidation pins that serve refuses invalid
+// drift thresholds at boot with ErrConfig — the validator append and
+// the library use — instead of ignoring or dropping them.
+func TestServeDriftThresholdValidation(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "absent.fidx")
+	cases := []struct {
+		args []string
+		bad  bool
+	}{
+		{[]string{"-drift-threshold", "-1"}, true},
+		{[]string{"-drift-threshold", "NaN"}, true},
+		{[]string{"-drift-threshold", "Inf"}, true},
+		{[]string{"-drift-metric", "stat_parity=-1"}, true},
+		{[]string{"-drift-metric", "stat_parity=NaN"}, true},
+		{[]string{"-drift-metric", "stat_parity=Inf"}, true},
+		{[]string{"-drift-metric", "no_such_metric=0.1"}, true},
+		// Valid thresholds get past validation to the missing file.
+		{[]string{"-drift-threshold", "0.1", "-drift-metric", "stat_parity=0.05"}, false},
+	}
+	for _, c := range cases {
+		err := runServeCmd(append(c.args, missing))
+		if err == nil {
+			t.Fatalf("%v: serve booted over a missing file", c.args)
+		}
+		if got := errors.Is(err, fairindex.ErrConfig); got != c.bad {
+			t.Errorf("%v: err = %v, ErrConfig %v, want %v", c.args, err, got, c.bad)
+		}
 	}
 }
 
@@ -408,7 +439,7 @@ func TestServeMultiIndex(t *testing.T) {
 	srv, err := newServeServer([]indexSpec{
 		{name: "fair", path: idxPath},
 		{name: "zip", path: zipPath},
-	}, "", 0, "fair", 0, nil)
+	}, "", 0, "fair", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

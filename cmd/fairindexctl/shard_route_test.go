@@ -480,7 +480,7 @@ func TestListenersDropSlowHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", 0, nil)
+	srv, err := newServeServer([]indexSpec{{name: "city", path: idxPath}}, "", 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

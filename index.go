@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"runtime"
@@ -65,7 +66,7 @@ type Index struct {
 
 	// maint is the one mutable corner of the Index: the live
 	// per-region statistics AppendBatch folds new records into, plus
-	// the drift threshold. It is a pointer (not an embedded struct)
+	// the armed drift thresholds. It is a pointer (not an embedded struct)
 	// so Index values remain copyable; queries read it lock-free via
 	// atomic snapshots. See maintain.go.
 	maint *maintState
@@ -157,13 +158,9 @@ func newIndex(ds *Dataset, art *pipeline.Artifacts) (*Index, error) {
 			stats:  append([]calib.SuffStats(nil), tt.RegionStats...),
 		})
 	}
-	ix.initMaint(art.Config.DriftThreshold)
-	// Per-metric thresholds layer on top of the legacy ENCE one; the
-	// names and values were validated by the pipeline config.
-	for name, t := range art.Config.DriftThresholds {
-		if err := ix.setThreshold(name, t); err != nil {
-			return nil, err
-		}
+	ix.initMaint()
+	if err := ix.SetDriftThresholds(art.Config.DriftThresholds); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -422,8 +419,9 @@ func (ix *Index) scoreInRegion(it *indexTask, x []float64, region int) (float64,
 }
 
 // Report returns the build-time metric report for a task, with one
-// live exception: the ENCE field tracks the current per-region
-// statistics, so it stays exact as AppendBatch folds new records in.
+// live exception: the ENCE field is the live ENCE the drift monitor
+// measures (the registered "ence" metric over the current per-region
+// statistics), so it stays exact as AppendBatch folds new records in.
 // Without appends the live value is bit-identical to the stored one
 // (both fold the same per-region statistics in the same order); every
 // other metric is the build-time evaluation.
@@ -433,7 +431,7 @@ func (ix *Index) Report(task int) (TaskResult, error) {
 		return TaskResult{}, err
 	}
 	tr := ix.tasks[slot].report
-	tr.ENCE = ix.liveENCE(slot)
+	tr.ENCE, _, _ = ix.metricValues(MetricENCE, slot, ix.statsFor(slot))
 	return tr, nil
 }
 
@@ -517,6 +515,7 @@ func (ix *Index) TrainCPUTime() time.Duration { return ix.trainCPUTime }
 func (ix *Index) Config() Config {
 	cfg := ix.cfg
 	cfg.Alphas = append([]float64(nil), cfg.Alphas...)
+	cfg.DriftThresholds = maps.Clone(cfg.DriftThresholds)
 	return cfg
 }
 
@@ -648,8 +647,11 @@ func (ix *Index) MarshalBinary() ([]byte, error) {
 		// statistics backing GroupStats; 0 marks an index restored
 		// from a v1 artifact that never carried them. The live
 		// snapshot is serialized, so statistics folded in by
-		// AppendBatch — and therefore the measured drift — survive a
-		// save/reload cycle without a codec change.
+		// AppendBatch survive a save/reload cycle without a codec
+		// change. The stored report ENCE is the only drift baseline
+		// the artifact carries: ENCE drift survives the reload, while
+		// every other metric's baseline restarts at the reloaded
+		// statistics.
 		stats := ix.statsFor(i)
 		b = binenc.AppendUvarint(b, uint64(len(stats)))
 		for _, st := range stats {
@@ -817,7 +819,7 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after payload", ErrIndexFormat, r.Len())
 	}
-	out.initMaint(0)
+	out.initMaint()
 	*ix = out
 	return nil
 }

@@ -437,6 +437,17 @@ func TestBuildWithConfigBridge(t *testing.T) {
 	if idx.Height() != 3 {
 		t.Errorf("height = %d, want the later option to win", idx.Height())
 	}
+	// Config returns a copy: mutating its threshold map must not
+	// reach the Index (the rebuild recipe rebuilds from Config()).
+	armed, err := fairindex.Build(ds, fairindex.WithConfig(cfg),
+		fairindex.WithDriftThresholds(map[string]float64{fairindex.MetricStatParity: 0.05}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Config().DriftThresholds[fairindex.MetricStatParity] = 9
+	if got := armed.Config().DriftThresholds[fairindex.MetricStatParity]; got != 0.05 {
+		t.Errorf("Config().DriftThresholds leaked a caller mutation: stat_parity = %v, want 0.05", got)
+	}
 }
 
 // TestRunMatchesBuildReport pins the compatibility shim: Run must

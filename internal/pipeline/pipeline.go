@@ -133,14 +133,11 @@ type Config struct {
 	// it is a pure resource knob: it never changes the produced
 	// artifact and is not serialized into it.
 	StreamChunk int
-	// DriftThreshold seeds the built Index's maintenance drift
-	// threshold: the ENCE divergence (|live − build-time|) at which
-	// appended batches flip the rebuild-recommended flag. 0 monitors
-	// drift without recommending. Runtime-only, not serialized.
-	DriftThreshold float64
-	// DriftThresholds seeds per-metric drift thresholds (registered
-	// metric name → threshold), layered on top of DriftThreshold's
-	// legacy ENCE entry. Runtime-only, not serialized.
+	// DriftThresholds seeds the built Index's armed drift thresholds:
+	// registered metric name → the drift (|live − build-time|) at
+	// which appended batches flip the rebuild-recommended flag; 0
+	// leaves a metric monitored but unarmed. Runtime-only, not
+	// serialized.
 	DriftThresholds map[string]float64
 }
 
@@ -161,6 +158,23 @@ func (c Config) withDefaults() Config {
 // ErrConfig reports an invalid configuration.
 var ErrConfig = errors.New("pipeline: invalid config")
 
+// CheckDriftThresholds is the one validator of armed drift
+// thresholds, shared by the build options, the Index setters, the
+// registry and the CLIs: every name must be a registered metric and
+// every value finite and non-negative (0 disarms). Errors wrap
+// ErrConfig.
+func CheckDriftThresholds(thresholds map[string]float64) error {
+	for name, t := range thresholds {
+		if _, ok := calib.MetricByName(name); !ok {
+			return fmt.Errorf("%w: unknown drift metric %q (registered: %v)", ErrConfig, name, calib.MetricNames())
+		}
+		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, name)
+		}
+	}
+	return nil
+}
+
 // validate checks config against the dataset.
 func (c Config) validate(ds *dataset.Dataset) error {
 	if c.Height < 0 {
@@ -178,9 +192,6 @@ func (c Config) validate(ds *dataset.Dataset) error {
 	if c.StreamChunk < 0 {
 		return fmt.Errorf("%w: stream chunk %d", ErrConfig, c.StreamChunk)
 	}
-	if c.DriftThreshold < 0 || math.IsNaN(c.DriftThreshold) || math.IsInf(c.DriftThreshold, 0) {
-		return fmt.Errorf("%w: drift threshold %v", ErrConfig, c.DriftThreshold)
-	}
 	if c.Method == MethodMultiObjectiveFairKD && c.Alphas != nil && len(c.Alphas) != ds.NumTasks() {
 		return fmt.Errorf("%w: %d alphas for %d tasks", ErrConfig, len(c.Alphas), ds.NumTasks())
 	}
@@ -188,13 +199,8 @@ func (c Config) validate(ds *dataset.Dataset) error {
 		return fmt.Errorf("%w: alphas are only meaningful for %v, got them with %v",
 			ErrConfig, MethodMultiObjectiveFairKD, c.Method)
 	}
-	for name, t := range c.DriftThresholds {
-		if _, ok := calib.MetricByName(name); !ok {
-			return fmt.Errorf("%w: unknown drift metric %q (registered: %v)", ErrConfig, name, calib.MetricNames())
-		}
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, name)
-		}
+	if err := CheckDriftThresholds(c.DriftThresholds); err != nil {
+		return err
 	}
 	if c.ObjectiveMetric != "" {
 		if _, ok := calib.MetricByName(c.ObjectiveMetric); !ok {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -84,15 +85,13 @@ type Registry struct {
 	maxLoaded int // 0 = unlimited
 	logger    *log.Logger
 
-	// driftThreshold (0 = off) is armed on every index the registry
-	// loads, so appended batches can flip its rebuild-recommended
-	// flag; driftThresholds additionally arms per-metric thresholds
-	// (registered metric name → threshold); onDrift, when set, fires
-	// the first time an entry crosses any armed threshold (see
-	// Append). It is atomic so a rebuild controller can bind itself
+	// driftThresholds (registered metric name → threshold) is armed
+	// on every index the registry installs, so appended batches can
+	// flip its rebuild-recommended flag; onDrift, when set, fires the
+	// first time an entry crosses any armed threshold (see Append).
+	// It is atomic so a rebuild controller can bind itself
 	// (SetOnDrift) after the registry is constructed, concurrently
 	// with appends.
-	driftThreshold  float64
 	driftThresholds map[string]float64
 	onDrift         atomic.Pointer[func(name string, drift float64)]
 }
@@ -152,35 +151,27 @@ func WithDefault(name string) Option {
 	return func(r *Registry) { r.defName.Store(&name) }
 }
 
-// WithDriftThreshold arms drift monitoring on every index the
-// registry serves: each loaded artifact gets the threshold, so
-// Append can flip its rebuild-recommended flag (surfaced by Info and
-// the serving layer). t <= 0 leaves monitoring off.
+// WithDriftThreshold arms ENCE drift monitoring on every index the
+// registry serves: WithDriftThresholds(map[string]float64{"ence": t}).
 func WithDriftThreshold(t float64) Option {
-	return func(r *Registry) {
-		if t > 0 {
-			r.driftThreshold = t
-		}
-	}
+	return WithDriftThresholds(map[string]float64{fairindex.MetricENCE: t})
 }
 
 // WithDriftThresholds arms per-metric drift monitoring on every index
 // the registry serves: each entry maps a registered fairness-metric
 // name (e.g. "stat_parity") to the drift at which Append flips the
-// entry's rebuild-recommended flag. Entries layer on top of (and, for
-// "ence", override) WithDriftThreshold. Unknown metric names are
-// rejected at install time by the index and logged; non-positive
-// values are dropped.
+// entry's rebuild-recommended flag (surfaced by Info and the serving
+// layer); 0 disarms the metric. Entries merge into those of earlier
+// options, so a later entry for the same metric wins. The set is
+// validated when an index is installed: an unknown metric name or a
+// negative, NaN or infinite value fails the load (or AddIndex, Swap,
+// SetIndex) with an error wrapping fairindex.ErrConfig.
 func WithDriftThresholds(thresholds map[string]float64) Option {
 	return func(r *Registry) {
-		for name, t := range thresholds {
-			if t > 0 {
-				if r.driftThresholds == nil {
-					r.driftThresholds = make(map[string]float64, len(thresholds))
-				}
-				r.driftThresholds[name] = t
-			}
+		if r.driftThresholds == nil {
+			r.driftThresholds = make(map[string]float64, len(thresholds))
 		}
+		maps.Copy(r.driftThresholds, thresholds)
 	}
 }
 
@@ -275,7 +266,9 @@ func (r *Registry) AddIndex(name string, idx *fairindex.Index) error {
 		return fmt.Errorf("registry: %q: nil index", name)
 	}
 	e := &Entry{name: name}
-	r.installed(e, idx)
+	if err := r.installed(e, idx); err != nil {
+		return err
+	}
 	e.idx.Store(idx)
 	return r.insert(e)
 }
@@ -362,12 +355,14 @@ func (r *Registry) loadEntry(e *Entry) (*fairindex.Index, error) {
 		return idx, nil
 	}
 	idx, err := fairindex.LoadIndex(e.path)
+	if err == nil {
+		err = r.installed(e, idx)
+	}
 	if err != nil {
 		e.setErr(err)
 		e.loadMu.Unlock()
 		return nil, fmt.Errorf("registry: loading %q: %w", e.name, err)
 	}
-	r.installed(e, idx)
 	e.idx.Store(idx)
 	e.lastErr.Store(nil)
 	e.loadMu.Unlock()
@@ -381,24 +376,17 @@ func (e *Entry) setErr(err error) {
 }
 
 // installed prepares a fresh artifact generation for serving: it arms
-// the registry-wide drift thresholds on the index and re-arms the
-// one-shot drift hook.
-func (r *Registry) installed(e *Entry, idx *fairindex.Index) {
-	if r.driftThreshold > 0 {
-		// The threshold was validated positive and finite; the index
-		// accepts any such value.
-		_ = idx.SetDriftThreshold(r.driftThreshold)
-	}
+// the registry-wide drift thresholds on the index (merged over the
+// index's own) and re-arms the one-shot drift hook. An invalid
+// threshold set refuses the index.
+func (r *Registry) installed(e *Entry, idx *fairindex.Index) error {
 	for name, t := range r.driftThresholds {
-		// Values were validated positive at option time; an unknown
-		// metric name (not registered in this process) is the only
-		// remaining failure, worth a log line rather than a panic.
 		if err := idx.SetMetricDriftThreshold(name, t); err != nil {
-			r.logger.Printf("registry: %q: cannot arm drift threshold for metric %q: %v",
-				e.name, name, err)
+			return fmt.Errorf("registry: %q: %w", e.name, err)
 		}
 	}
 	e.driftNotified.Store(false)
+	return nil
 }
 
 // Append folds a batch of new records into a served index's live
@@ -512,11 +500,13 @@ func (r *Registry) Reload(name string) error {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	idx, err := fairindex.LoadIndex(e.path)
+	if err == nil {
+		err = r.installed(e, idx)
+	}
 	if err != nil {
 		e.setErr(err)
 		return fmt.Errorf("registry: reloading %q: %w", name, err)
 	}
-	r.installed(e, idx)
 	e.idx.Store(idx)
 	e.lastErr.Store(nil)
 	e.reloads.Add(1)
@@ -558,15 +548,17 @@ func (r *Registry) Swap(name string, idx *fairindex.Index) (*fairindex.Index, er
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	e.loadMu.Lock()
+	defer e.loadMu.Unlock()
 	if idx != nil {
-		r.installed(e, idx)
+		if err := r.installed(e, idx); err != nil {
+			return nil, err
+		}
 	}
 	old := e.idx.Swap(idx)
 	if idx != nil {
 		e.lastErr.Store(nil)
 		e.reloads.Add(1)
 	}
-	e.loadMu.Unlock()
 	return old, nil
 }
 
@@ -579,12 +571,14 @@ func (r *Registry) SetIndex(name string, idx *fairindex.Index) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	e.loadMu.Lock()
+	defer e.loadMu.Unlock()
 	if idx != nil {
-		r.installed(e, idx)
+		if err := r.installed(e, idx); err != nil {
+			return err
+		}
 	}
 	e.idx.Store(idx)
 	e.lastErr.Store(nil)
-	e.loadMu.Unlock()
 	return nil
 }
 

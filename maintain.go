@@ -2,6 +2,7 @@ package fairindex
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -9,22 +10,21 @@ import (
 
 	"fairindex/internal/calib"
 	"fairindex/internal/dataset"
+	"fairindex/internal/pipeline"
 )
 
 // maintState carries the mutable maintenance side of an Index: the
 // live per-region sufficient statistics (with appended records folded
-// in) and the drift threshold. It hangs off the Index behind a
+// in) and the armed drift thresholds. It hangs off the Index behind a
 // pointer so Index values stay copyable, and publishes every fold as
 // a fresh immutable snapshot behind an atomic pointer — queries read
 // lock-free while AppendBatch serializes writers on mu.
 type maintState struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[liveStats]
-	// thresholds holds the armed per-metric drift thresholds as an
-	// immutable map behind an atomic pointer (writers replace the
-	// whole map). The legacy single-threshold surface
-	// (SetDriftThreshold / DriftThreshold) reads and writes the
-	// calib.MetricENCE key.
+	// thresholds holds the armed per-metric drift thresholds (metric
+	// name → positive threshold) as an immutable map behind an atomic
+	// pointer; writers swap the whole map under mu.
 	thresholds atomic.Pointer[map[string]float64]
 	// Fingerprint cache (shard.go): the artifact's content hash,
 	// computed lazily once per built/loaded Index.
@@ -40,12 +40,6 @@ type liveStats struct {
 	// slot; a nil slot marks an artifact that predates region stats
 	// (v1) and cannot accept appends.
 	stats [][]calib.SuffStats
-	// ence is each task slot's ENCE over its live stats. At build
-	// time it is bit-identical to the stored report value (both are
-	// population-weighted folds of the same per-region statistics in
-	// the same order), which is what makes |live − stored| a sound
-	// drift measure across save/reload cycles.
-	ence []float64
 	// appended counts records folded since the Index was built or
 	// loaded. It is runtime observability, not serialized: the folded
 	// statistics themselves persist through MarshalBinary.
@@ -53,30 +47,15 @@ type liveStats struct {
 }
 
 // initMaint publishes the initial maintenance snapshot over the
-// build- or load-time per-region statistics.
-func (ix *Index) initMaint(threshold float64) {
-	ls := &liveStats{
-		stats: make([][]calib.SuffStats, len(ix.tasks)),
-		ence:  make([]float64, len(ix.tasks)),
-	}
+// build- or load-time per-region statistics, with nothing armed.
+func (ix *Index) initMaint() {
+	ls := &liveStats{stats: make([][]calib.SuffStats, len(ix.tasks))}
 	for i := range ix.tasks {
-		it := &ix.tasks[i]
-		if it.stats == nil {
-			ls.ence[i] = it.report.ENCE
-			continue
-		}
 		// Share the baseline slice; folds are copy-on-write.
-		ls.stats[i] = it.stats
-		ls.ence[i] = calib.ENCEFromStats(it.stats)
+		ls.stats[i] = ix.tasks[i].stats
 	}
-	m := &maintState{}
-	m.cur.Store(ls)
-	thr := map[string]float64{}
-	if threshold > 0 {
-		thr[calib.MetricENCE] = threshold
-	}
-	m.thresholds.Store(&thr)
-	ix.maint = m
+	ix.maint = &maintState{}
+	ix.maint.cur.Store(ls)
 }
 
 // live returns the current maintenance snapshot (nil only for Index
@@ -98,14 +77,6 @@ func (ix *Index) statsFor(slot int) []calib.SuffStats {
 	return ix.tasks[slot].stats
 }
 
-// liveENCE returns a task slot's ENCE over its live statistics.
-func (ix *Index) liveENCE(slot int) float64 {
-	if ls := ix.live(); ls != nil {
-		return ls.ence[slot]
-	}
-	return ix.tasks[slot].report.ENCE
-}
-
 // driftThresholds reads the armed per-metric threshold map (shared,
 // treat as immutable; empty for an index with nothing armed).
 func (ix *Index) driftThresholds() map[string]float64 {
@@ -118,20 +89,14 @@ func (ix *Index) driftThresholds() map[string]float64 {
 	return nil
 }
 
-// driftThreshold reads the armed legacy (ENCE) threshold (0 =
-// monitoring only).
-func (ix *Index) driftThreshold() float64 {
-	return ix.driftThresholds()[calib.MetricENCE]
-}
-
 // TaskDrift is one task's live calibration state after a fold. The
-// legacy ENCE/Drift fields always carry the ENCE view; Metrics and
-// Drifts additionally report every monitored metric (ENCE plus any
-// metric armed via SetDriftThresholds) by name.
+// ENCE/Drift fields repeat the "ence" entries of Metrics and Drifts,
+// which report every monitored metric (ENCE plus any armed metric)
+// by name.
 type TaskDrift struct {
 	Task  int
-	ENCE  float64 // live ENCE over build-time + appended records
-	Drift float64 // |ENCE − build-time ENCE|
+	ENCE  float64 // Metrics["ence"]
+	Drift float64 // Drifts["ence"]
 	// Metrics holds the live value of each monitored metric over the
 	// task's full region set.
 	Metrics map[string]float64
@@ -146,7 +111,7 @@ type AppendResult struct {
 	Appended int         // records folded by this call
 	Total    int         // records folded since the Index was built or loaded
 	Tasks    []TaskDrift // live state per task, in Tasks() order
-	Drift    float64     // maximum task ENCE drift
+	Drift    float64     // Drifts["ence"]
 	// Drifts holds the maximum per-task drift of each monitored
 	// metric (always including "ence", which mirrors Drift).
 	Drifts map[string]float64
@@ -235,7 +200,6 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 	old := m.cur.Load()
 	next := &liveStats{
 		stats:    make([][]calib.SuffStats, len(old.stats)),
-		ence:     make([]float64, len(old.ence)),
 		appended: old.appended + n,
 	}
 	for k := range old.stats {
@@ -253,7 +217,6 @@ func (ix *Index) AppendBatch(recs []Record) (AppendResult, error) {
 			}
 		}
 		next.stats[k] = st
-		next.ence[k] = calib.ENCEFromStats(st)
 	}
 	m.cur.Store(next)
 	m.mu.Unlock()
@@ -290,32 +253,30 @@ func (ix *Index) monitoredMetrics() []string {
 	return names
 }
 
-// metricValues computes one metric's (live, baseline) pair for a task
-// slot against one live snapshot. The ENCE pair reuses the
-// incrementally maintained values, keeping legacy drift bit-exact;
-// other metrics evaluate over the live and build-time statistics.
-func (ix *Index) metricValues(name string, slot int, ls *liveStats) (live, base float64) {
-	if name == calib.MetricENCE {
-		if ls != nil {
-			return ls.ence[slot], ix.tasks[slot].report.ENCE
-		}
-		return ix.liveENCE(slot), ix.tasks[slot].report.ENCE
-	}
+// metricValues is the one drift computation: a task slot's (live,
+// baseline) pair under a registered metric, with live evaluated over
+// cur. ENCE's baseline is the stored build-time report ENCE — the only
+// baseline the artifact persists, which is what keeps ENCE drift
+// across a save/reload. Every other metric's baseline is the metric
+// over the statistics the index was built or loaded with. A slot
+// restored from a v1 artifact has no statistics: its ENCE is the
+// stored value on both sides, and every other metric fails with
+// ErrNoRegionStats. Failures return a NaN pair.
+func (ix *Index) metricValues(name string, slot int, cur []calib.SuffStats) (live, base float64, err error) {
 	m, ok := calib.MetricByName(name)
 	if !ok {
-		return math.NaN(), math.NaN()
+		return math.NaN(), math.NaN(), fmt.Errorf("%w: unknown metric %q (registered: %v)", ErrQuery, name, calib.MetricNames())
 	}
-	stats := ix.tasks[slot].stats
-	if stats == nil {
-		return math.NaN(), math.NaN()
+	it := &ix.tasks[slot]
+	switch {
+	case name == calib.MetricENCE && it.stats == nil:
+		return it.report.ENCE, it.report.ENCE, nil
+	case name == calib.MetricENCE:
+		return m.Compute(cur), it.report.ENCE, nil
+	case it.stats == nil:
+		return math.NaN(), math.NaN(), ErrNoRegionStats
 	}
-	liveStats := stats
-	if ls != nil {
-		liveStats = ls.stats[slot]
-	} else if cur := ix.statsFor(slot); cur != nil {
-		liveStats = cur
-	}
-	return m.Compute(liveStats), m.Compute(stats)
+	return m.Compute(cur), m.Compute(it.stats), nil
 }
 
 // appendResult assembles the drift report for one published snapshot.
@@ -325,13 +286,13 @@ func (ix *Index) appendResult(n int, ls *liveStats) AppendResult {
 	for k := range ix.tasks {
 		td := TaskDrift{
 			Task:    ix.tasks[k].task,
-			ENCE:    ls.ence[k],
-			Drift:   math.Abs(ls.ence[k] - ix.tasks[k].report.ENCE),
 			Metrics: make(map[string]float64, len(monitored)),
 			Drifts:  make(map[string]float64, len(monitored)),
 		}
 		for _, name := range monitored {
-			live, base := ix.metricValues(name, k, ls)
+			// Monitored names are registered, so only a v1 slot can
+			// fail; its NaN pair never enters the running max below.
+			live, base, _ := ix.metricValues(name, k, ls.stats[k])
 			td.Metrics[name] = live
 			td.Drifts[name] = math.Abs(live - base)
 			// NaN (a metric undefined on either side) never displaces
@@ -343,13 +304,11 @@ func (ix *Index) appendResult(n int, ls *liveStats) AppendResult {
 				}
 			}
 		}
+		td.ENCE, td.Drift = td.Metrics[MetricENCE], td.Drifts[MetricENCE]
 		res.Tasks = append(res.Tasks, td)
-		if td.Drift > res.Drift {
-			res.Drift = td.Drift
-		}
 	}
-	thr := ix.driftThresholds()
-	for name, t := range thr {
+	res.Drift = res.Drifts[MetricENCE]
+	for name, t := range ix.driftThresholds() {
 		if d, ok := res.Drifts[name]; ok && DriftExceeds(d, t) {
 			res.RebuildRecommended = true
 		}
@@ -367,52 +326,38 @@ func (ix *Index) Appended() int {
 	return 0
 }
 
-// Drift returns one task's calibration drift: the absolute distance
-// between its live ENCE (build-time statistics plus every appended
-// record) and the build-time ENCE stored in the artifact. 0 until
-// appends arrive.
-func (ix *Index) Drift(task int) (float64, error) {
-	slot, err := ix.taskSlot(task)
-	if err != nil {
-		return 0, err
-	}
-	return math.Abs(ix.liveENCE(slot) - ix.tasks[slot].report.ENCE), nil
-}
+// Drift returns one task's ENCE drift, MetricDrift(task, "ence"): the
+// absolute distance between its live ENCE (build-time statistics plus
+// every appended record) and the build-time ENCE stored in the
+// artifact. 0 until appends arrive.
+func (ix *Index) Drift(task int) (float64, error) { return ix.MetricDrift(task, MetricENCE) }
 
-// MaxDrift returns the largest per-task drift (0 for an index without
-// appends).
+// MaxDrift returns the largest per-task ENCE drift,
+// MaxMetricDrift("ence") (0 for an index without appends).
 func (ix *Index) MaxDrift() float64 {
-	var out float64
-	for slot := range ix.tasks {
-		if d := math.Abs(ix.liveENCE(slot) - ix.tasks[slot].report.ENCE); d > out {
-			out = d
-		}
-	}
-	return out
+	d, _ := ix.MaxMetricDrift(MetricENCE) // ENCE is defined on every slot
+	return d
 }
 
 // MetricDrift returns one task's drift under a named registered
-// metric: |metric over live statistics − metric over build-time
-// statistics|. For "ence" it equals Drift bit for bit. A NaN result
-// means the metric is undefined on at least one side (e.g. cal_ratio
-// with no positives); NaN drift never triggers a rebuild
-// recommendation. Indexes restored from pre-v2 artifacts carry no
-// statistics for non-ENCE metrics and fail with ErrNoRegionStats.
+// metric: |metric over live statistics − baseline|. The baseline of
+// "ence" is the build-time ENCE stored in the artifact, so ENCE drift
+// survives a save/reload; every other metric's baseline is the metric
+// over the statistics the Index was built or loaded with, so after a
+// reload their drift restarts from 0. A NaN result means the metric
+// is undefined on at least one side (e.g. cal_ratio with no
+// positives); NaN drift never triggers a rebuild recommendation.
+// Indexes restored from pre-v2 artifacts carry no statistics for
+// non-ENCE metrics and fail with ErrNoRegionStats.
 func (ix *Index) MetricDrift(task int, metric string) (float64, error) {
 	slot, err := ix.taskSlot(task)
 	if err != nil {
 		return 0, err
 	}
-	if metric == calib.MetricENCE {
-		return math.Abs(ix.liveENCE(slot) - ix.tasks[slot].report.ENCE), nil
+	live, base, err := ix.metricValues(metric, slot, ix.statsFor(slot))
+	if err != nil {
+		return 0, err
 	}
-	if _, ok := calib.MetricByName(metric); !ok {
-		return 0, fmt.Errorf("%w: unknown metric %q (registered: %v)", ErrQuery, metric, calib.MetricNames())
-	}
-	if ix.tasks[slot].stats == nil {
-		return 0, ErrNoRegionStats
-	}
-	live, base := ix.metricValues(metric, slot, nil)
 	return math.Abs(live - base), nil
 }
 
@@ -432,30 +377,24 @@ func (ix *Index) MaxMetricDrift(metric string) (float64, error) {
 	return out, nil
 }
 
-// DriftThreshold returns the armed ENCE drift threshold (0 =
-// monitoring without a rebuild recommendation). Per-metric thresholds
-// are read with DriftThresholds.
-func (ix *Index) DriftThreshold() float64 { return ix.driftThreshold() }
+// DriftThreshold returns the armed ENCE drift threshold,
+// DriftThresholds()["ence"] (0 = monitoring without a rebuild
+// recommendation).
+func (ix *Index) DriftThreshold() float64 { return ix.driftThresholds()[MetricENCE] }
 
 // DriftThresholds returns a copy of the armed per-metric thresholds
 // (empty when nothing is armed).
 func (ix *Index) DriftThresholds() map[string]float64 {
 	cur := ix.driftThresholds()
 	out := make(map[string]float64, len(cur))
-	for name, t := range cur {
-		out[name] = t
-	}
+	maps.Copy(out, cur)
 	return out
 }
 
 // SetDriftThreshold arms (or, with 0, disarms) the rebuild
-// recommendation on ENCE drift, preserving any other armed metric
-// thresholds. Safe for concurrent use with appends and queries.
+// recommendation on ENCE drift: SetMetricDriftThreshold("ence", t).
 func (ix *Index) SetDriftThreshold(t float64) error {
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("%w: drift threshold %v", ErrConfig, t)
-	}
-	return ix.setThreshold(calib.MetricENCE, t)
+	return ix.SetMetricDriftThreshold(MetricENCE, t)
 }
 
 // SetMetricDriftThreshold arms (or, with 0, disarms) the rebuild
@@ -464,13 +403,7 @@ func (ix *Index) SetDriftThreshold(t float64) error {
 // finite and non-negative. Safe for concurrent use with appends and
 // queries.
 func (ix *Index) SetMetricDriftThreshold(metric string, t float64) error {
-	if _, ok := calib.MetricByName(metric); !ok {
-		return fmt.Errorf("%w: unknown drift metric %q (registered: %v)", ErrConfig, metric, calib.MetricNames())
-	}
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, metric)
-	}
-	return ix.setThreshold(metric, t)
+	return ix.armThresholds(map[string]float64{metric: t}, false)
 }
 
 // SetDriftThresholds replaces the whole armed threshold set: each
@@ -480,40 +413,31 @@ func (ix *Index) SetMetricDriftThreshold(metric string, t float64) error {
 // empty (or nil) map disarms everything. Safe for concurrent use with
 // appends and queries.
 func (ix *Index) SetDriftThresholds(thresholds map[string]float64) error {
-	next := make(map[string]float64, len(thresholds))
-	for name, t := range thresholds {
-		if _, ok := calib.MetricByName(name); !ok {
-			return fmt.Errorf("%w: unknown drift metric %q (registered: %v)", ErrConfig, name, calib.MetricNames())
-		}
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, name)
-		}
-		if t > 0 {
-			next[name] = t
-		}
-	}
-	if ix.maint != nil {
-		ix.maint.thresholds.Store(&next)
-	}
-	return nil
+	return ix.armThresholds(thresholds, true)
 }
 
-// setThreshold swaps one entry of the immutable threshold map.
-func (ix *Index) setThreshold(metric string, t float64) error {
+// armThresholds validates thresholds and swaps them into the armed
+// set under maint.mu, merged over the current set or replacing it.
+// Zero entries disarm their metric.
+func (ix *Index) armThresholds(thresholds map[string]float64, replace bool) error {
+	if err := pipeline.CheckDriftThresholds(thresholds); err != nil {
+		return err
+	}
 	if ix.maint == nil {
 		return nil
 	}
 	ix.maint.mu.Lock()
 	defer ix.maint.mu.Unlock()
-	cur := ix.driftThresholds()
-	next := make(map[string]float64, len(cur)+1)
-	for name, v := range cur {
-		next[name] = v
+	next := map[string]float64{}
+	if !replace {
+		maps.Copy(next, ix.driftThresholds())
 	}
-	if t > 0 {
-		next[metric] = t
-	} else {
-		delete(next, metric)
+	for name, t := range thresholds {
+		if t > 0 {
+			next[name] = t
+		} else {
+			delete(next, name)
+		}
 	}
 	ix.maint.thresholds.Store(&next)
 	return nil
@@ -522,16 +446,9 @@ func (ix *Index) setThreshold(metric string, t float64) error {
 // RebuildRecommended reports whether any armed metric's live drift
 // has crossed its threshold — the signal that enough appended records
 // diverge from the build-time calibration to make retraining
-// worthwhile.
+// worthwhile. It is the RebuildRecommended of the drift report
+// AppendBatch would return over the current snapshot.
 func (ix *Index) RebuildRecommended() bool {
-	for name, thr := range ix.driftThresholds() {
-		if thr <= 0 {
-			continue
-		}
-		d, err := ix.MaxMetricDrift(name)
-		if err == nil && DriftExceeds(d, thr) {
-			return true
-		}
-	}
-	return false
+	ls := ix.live()
+	return ls != nil && ix.appendResult(0, ls).RebuildRecommended
 }

@@ -169,6 +169,27 @@ func TestAppendSurvivesSerialization(t *testing.T) {
 	if back.Appended() != 0 {
 		t.Errorf("reloaded Appended %d, want 0", back.Appended())
 	}
+	// ENCE's stored report value is the only baseline the artifact
+	// carries: every other metric's baseline restarts at the reloaded
+	// statistics, so its drift reads 0 again after the reload.
+	moved := false
+	for _, name := range []string{MetricStatParity, MetricMiscalAbs, MetricAccuracyParity} {
+		before, err := idx.MaxMetricDrift(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := back.MaxMetricDrift(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved = moved || before > 0
+		if after != 0 {
+			t.Errorf("reloaded %s drift %v, want 0 (baseline restarts on reload)", name, after)
+		}
+	}
+	if !moved {
+		t.Error("test needs a non-ENCE drift before the reload; all were 0")
+	}
 }
 
 func TestAppendDriftThreshold(t *testing.T) {
@@ -431,5 +452,131 @@ func TestAppendDriftExactlyOnThreshold(t *testing.T) {
 	}
 	if res.RebuildRecommended || above.RebuildRecommended() {
 		t.Errorf("drift one ulp under the threshold recommended a rebuild (drift %v)", drift)
+	}
+}
+
+// checkENCEAgreement pins that every ENCE drift surface reads the one
+// drift computation: the legacy accessors equal their registered-
+// metric forms bit for bit, and Report's ENCE is the registered
+// metric over the live statistics.
+func checkENCEAgreement(t *testing.T, stage string, idx *Index) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	maxM, err := idx.MaxMetricDrift(MetricENCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(idx.MaxDrift(), maxM) {
+		t.Errorf("%s: MaxDrift %v, MaxMetricDrift(ence) %v", stage, idx.MaxDrift(), maxM)
+	}
+	for slot, task := range idx.Tasks() {
+		d, err := idx.Drift(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md, err := idx.MetricDrift(task, MetricENCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(d, md) {
+			t.Errorf("%s task %d: Drift %v, MetricDrift(ence) %v", stage, task, d, md)
+		}
+		rep, err := idx.Report(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live := calib.ENCEFromStats(idx.statsFor(slot)); !same(rep.ENCE, live) {
+			t.Errorf("%s task %d: Report ENCE %v, live ENCE %v", stage, task, rep.ENCE, live)
+		}
+	}
+}
+
+// TestENCEDriftAgreement checks the agreement after build, append,
+// reload and shard split, and that an append's report carries the
+// same values.
+func TestENCEDriftAgreement(t *testing.T) {
+	build, extra := splitCity(t, 460, 60)
+	idx, err := Build(build, WithConfig(Config{Method: MethodFairKD, Height: 4, Seed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkENCEAgreement(t, "build", idx)
+	res, err := idx.AppendBatch(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkENCEAgreement(t, "append", idx)
+	if res.Drift != idx.MaxDrift() || res.Drift != res.Drifts[MetricENCE] {
+		t.Errorf("AppendResult.Drift %v, Drifts[ence] %v, MaxDrift %v", res.Drift, res.Drifts[MetricENCE], idx.MaxDrift())
+	}
+	for _, td := range res.Tasks {
+		rep, err := idx.Report(td.Task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if td.ENCE != rep.ENCE || td.ENCE != td.Metrics[MetricENCE] || td.Drift != td.Drifts[MetricENCE] {
+			t.Errorf("task %d: TaskDrift %+v disagrees with Report ENCE %v", td.Task, td, rep.ENCE)
+		}
+	}
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Index
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	checkENCEAgreement(t, "reload", &back)
+	n := back.NumRegions()
+	shard, err := back.ExtractShard(0, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkENCEAgreement(t, "shard", shard)
+}
+
+// TestFreshShardHasNoDrift pins the shard's drift baseline: a shard
+// split off an index with no appends measures zero drift on every
+// metric, so even the tightest armed threshold recommends nothing.
+func TestFreshShardHasNoDrift(t *testing.T) {
+	build, _ := splitCity(t, 460, 0)
+	configs := map[string][]Option{
+		"fair-h4":  {WithHeight(4), WithSeed(3)},
+		"quadtree": {WithMethod(MethodFairQuadtree), WithHeight(3), WithSeed(2)},
+		"zipcode":  {WithMethod(MethodZipCode), WithZipSites(12), WithSeed(2)},
+	}
+	armed := map[string]float64{}
+	for _, name := range calib.MetricNames() {
+		armed[name] = math.SmallestNonzeroFloat64
+	}
+	for name, opts := range configs {
+		idx, err := Build(build, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := idx.NumRegions()
+		for _, shards := range []int{2, 3, 4} {
+			for s := 0; s < shards; s++ {
+				lo, hi := s*n/shards, (s+1)*n/shards
+				sh, err := idx.ExtractShard(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sh.SetDriftThresholds(armed); err != nil {
+					t.Fatal(err)
+				}
+				if d := sh.MaxDrift(); d != 0 {
+					t.Errorf("%s shard [%d,%d): MaxDrift %v, want 0", name, lo, hi, d)
+				}
+				for metric := range armed {
+					if d, err := sh.MaxMetricDrift(metric); err != nil || d != 0 {
+						t.Errorf("%s shard [%d,%d): %s drift %v (%v), want 0", name, lo, hi, metric, d, err)
+					}
+				}
+				if sh.RebuildRecommended() {
+					t.Errorf("%s shard [%d,%d): fresh shard recommends a rebuild", name, lo, hi)
+				}
+			}
+		}
 	}
 }

@@ -2,12 +2,16 @@ package fairindex_test
 
 import (
 	"errors"
+	"io"
+	"log"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	fairindex "fairindex"
+	"fairindex/internal/registry"
 )
 
 // bruteSuffStats recomputes per-region sufficient statistics from the
@@ -395,6 +399,142 @@ func TestDriftThresholdsTriggerPerMetric(t *testing.T) {
 	}
 	if _, err := idx.MetricDrift(idx.Tasks()[0], "no_such_metric"); !errors.Is(err, fairindex.ErrQuery) {
 		t.Errorf("unknown metric drift error = %v, want ErrQuery", err)
+	}
+}
+
+// TestDriftThresholdEntryPoints runs every way of arming a drift
+// threshold through one table: each arms the same set, rejects
+// negative, NaN and infinite values and unknown metric names with
+// ErrConfig, and lets a later "ence" entry win over an earlier one.
+func TestDriftThresholdEntryPoints(t *testing.T) {
+	ds := smallLA(t)
+	base := []fairindex.Option{fairindex.WithHeight(3), fairindex.WithSeed(1)}
+	withBase := func(opts ...fairindex.Option) []fairindex.Option {
+		return append(append([]fairindex.Option(nil), base...), opts...)
+	}
+	build := func(opts ...fairindex.Option) (*fairindex.Index, error) {
+		return fairindex.Build(ds, withBase(opts...)...)
+	}
+	plain, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := plain.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *fairindex.Index {
+		var idx fairindex.Index
+		if err := idx.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return &idx
+	}
+	viaRegistry := func(opts ...registry.Option) (*fairindex.Index, error) {
+		r := registry.New(append(opts, registry.WithLogger(log.New(io.Discard, "", 0)))...)
+		if err := r.AddIndex("city", fresh()); err != nil {
+			return nil, err
+		}
+		return r.Lookup("city")
+	}
+	one := func(metric string, thr float64) map[string]float64 { return map[string]float64{metric: thr} }
+
+	// Each entry point arms thr on metric; the ENCE-only ones ignore
+	// the metric name.
+	cases := []struct {
+		name     string
+		enceOnly bool
+		arm      func(metric string, thr float64) (*fairindex.Index, error)
+	}{
+		{"WithDriftThreshold", true, func(_ string, thr float64) (*fairindex.Index, error) {
+			return build(fairindex.WithDriftThreshold(thr))
+		}},
+		{"WithDriftThresholds", false, func(m string, thr float64) (*fairindex.Index, error) {
+			return build(fairindex.WithDriftThresholds(one(m, thr)))
+		}},
+		{"WithConfig", false, func(m string, thr float64) (*fairindex.Index, error) {
+			return fairindex.Build(ds, fairindex.WithConfig(fairindex.Config{
+				Method: fairindex.MethodFairKD, Height: 3, Seed: 1, DriftThresholds: one(m, thr)}))
+		}},
+		{"BuildStream", false, func(m string, thr float64) (*fairindex.Index, error) {
+			return fairindex.BuildStream(fairindex.NewDatasetSource(ds), withBase(fairindex.WithDriftThresholds(one(m, thr)))...)
+		}},
+		{"SetDriftThreshold", true, func(_ string, thr float64) (*fairindex.Index, error) {
+			idx := fresh()
+			return idx, idx.SetDriftThreshold(thr)
+		}},
+		{"SetMetricDriftThreshold", false, func(m string, thr float64) (*fairindex.Index, error) {
+			idx := fresh()
+			return idx, idx.SetMetricDriftThreshold(m, thr)
+		}},
+		{"SetDriftThresholds", false, func(m string, thr float64) (*fairindex.Index, error) {
+			idx := fresh()
+			return idx, idx.SetDriftThresholds(one(m, thr))
+		}},
+		{"registry.WithDriftThreshold", true, func(_ string, thr float64) (*fairindex.Index, error) {
+			return viaRegistry(registry.WithDriftThreshold(thr))
+		}},
+		{"registry.WithDriftThresholds", false, func(m string, thr float64) (*fairindex.Index, error) {
+			return viaRegistry(registry.WithDriftThresholds(one(m, thr)))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			metrics := []string{fairindex.MetricENCE}
+			if !tc.enceOnly {
+				metrics = append(metrics, fairindex.MetricStatParity)
+			}
+			for _, m := range metrics {
+				idx, err := tc.arm(m, 0.05)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := idx.DriftThresholds(); !maps.Equal(got, one(m, 0.05)) {
+					t.Errorf("armed %s: DriftThresholds = %v", m, got)
+				}
+			}
+			for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+				if _, err := tc.arm(fairindex.MetricENCE, bad); !errors.Is(err, fairindex.ErrConfig) {
+					t.Errorf("threshold %v: err = %v, want ErrConfig", bad, err)
+				}
+			}
+			if !tc.enceOnly {
+				if _, err := tc.arm("no_such_metric", 0.05); !errors.Is(err, fairindex.ErrConfig) {
+					t.Errorf("unknown metric: err = %v, want ErrConfig", err)
+				}
+			}
+		})
+	}
+
+	laterWins := map[string]func() (*fairindex.Index, error){
+		"options": func() (*fairindex.Index, error) {
+			return build(fairindex.WithDriftThreshold(0.1), fairindex.WithDriftThresholds(one(fairindex.MetricENCE, 0.05)))
+		},
+		"options reversed": func() (*fairindex.Index, error) {
+			return build(fairindex.WithDriftThresholds(one(fairindex.MetricENCE, 0.1)), fairindex.WithDriftThreshold(0.05))
+		},
+		"setters": func() (*fairindex.Index, error) {
+			idx := fresh()
+			if err := idx.SetDriftThresholds(one(fairindex.MetricENCE, 0.1)); err != nil {
+				return nil, err
+			}
+			return idx, idx.SetDriftThreshold(0.05)
+		},
+		"registry": func() (*fairindex.Index, error) {
+			return viaRegistry(registry.WithDriftThreshold(0.1), registry.WithDriftThresholds(one(fairindex.MetricENCE, 0.05)))
+		},
+		"registry reversed": func() (*fairindex.Index, error) {
+			return viaRegistry(registry.WithDriftThresholds(one(fairindex.MetricENCE, 0.1)), registry.WithDriftThreshold(0.05))
+		},
+	}
+	for name, arm := range laterWins {
+		idx, err := arm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := idx.DriftThreshold(); got != 0.05 {
+			t.Errorf("%s: DriftThreshold = %v, want the later 0.05", name, got)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package fairindex
 
 import (
 	"fmt"
-	"math"
+	"maps"
 
 	"fairindex/internal/pipeline"
 )
@@ -215,24 +215,15 @@ func WithStreaming(chunk int) Option {
 	}
 }
 
-// WithDriftThreshold arms the built Index's incremental-maintenance
-// drift monitor: once batches folded in by AppendBatch move any
-// task's live ENCE at least t away from its build-time value, the
-// index advertises that a rebuild is recommended (RebuildRecommended,
-// the registry drift hook and the server's index listing). The
-// crossing is inclusive — a drift landing exactly on t triggers; the
-// shared boundary predicate is DriftExceeds, which every layer of the
-// drift control plane uses. 0 — the default — monitors drift without
-// ever recommending. The threshold can be changed later with
-// Index.SetDriftThreshold.
+// WithDriftThreshold arms the built Index's drift monitor on ENCE:
+// it is WithDriftThresholds(map[string]float64{"ence": t}). Once
+// batches folded in by AppendBatch move any task's live ENCE at least
+// t away from its build-time value, the index advertises that a
+// rebuild is recommended (RebuildRecommended, the registry drift hook
+// and the server's index listing). 0 — the default — monitors drift
+// without ever recommending.
 func WithDriftThreshold(t float64) Option {
-	return func(c *Config) error {
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return fmt.Errorf("%w: drift threshold %v", ErrConfig, t)
-		}
-		c.DriftThreshold = t
-		return nil
-	}
+	return WithDriftThresholds(map[string]float64{MetricENCE: t})
 }
 
 // WithDriftThresholds arms per-metric drift monitoring on the built
@@ -245,18 +236,21 @@ func WithDriftThreshold(t float64) Option {
 //		"stat_parity": 0.05,
 //	})
 //
-// Entries layer on top of (and, for "ence", override) the legacy
-// WithDriftThreshold. Crossings are inclusive (see DriftExceeds);
-// thresholds can be changed later with Index.SetDriftThresholds.
+// Entries merge into the thresholds set by earlier options, so a
+// later entry for the same metric wins; 0 leaves a metric unarmed.
+// The crossing is inclusive — a drift landing exactly on the
+// threshold triggers; the shared boundary predicate is DriftExceeds,
+// which every layer of the drift control plane uses. Thresholds can
+// be changed later with Index.SetDriftThresholds.
 func WithDriftThresholds(thresholds map[string]float64) Option {
 	return func(c *Config) error {
-		c.DriftThresholds = make(map[string]float64, len(thresholds))
-		for name, t := range thresholds {
-			if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-				return fmt.Errorf("%w: drift threshold %v for metric %q", ErrConfig, t, name)
-			}
-			c.DriftThresholds[name] = t
+		if err := pipeline.CheckDriftThresholds(thresholds); err != nil {
+			return err
 		}
+		next := make(map[string]float64, len(c.DriftThresholds)+len(thresholds))
+		maps.Copy(next, c.DriftThresholds)
+		maps.Copy(next, thresholds)
+		c.DriftThresholds = next
 		return nil
 	}
 }
@@ -270,12 +264,7 @@ func WithConfig(cfg Config) Option {
 		// Copy the reference fields so later caller mutations cannot
 		// reach into the built Index.
 		c.Alphas = append([]float64(nil), cfg.Alphas...)
-		if cfg.DriftThresholds != nil {
-			c.DriftThresholds = make(map[string]float64, len(cfg.DriftThresholds))
-			for name, t := range cfg.DriftThresholds {
-				c.DriftThresholds[name] = t
-			}
-		}
+		c.DriftThresholds = maps.Clone(cfg.DriftThresholds)
 		return nil
 	}
 }

@@ -67,7 +67,9 @@ func (ix *Index) Fingerprint() (uint64, error) {
 //     answers.
 //
 // Score and Report remain whole-index concerns: a shard keeps the
-// global models and reports verbatim, but scoring a foreign-region
+// global models and reports verbatim — except the stored ENCE, which
+// becomes the ENCE of the shard's own statistics, so a fresh shard's
+// drift baseline matches its live ENCE — but scoring a foreign-region
 // point would use the sentinel's centroid, so distributed scoring is
 // not supported (the router rejects it). The shard's statistics are
 // taken from one atomic live snapshot, so a shard split is internally
@@ -148,9 +150,10 @@ func (ix *Index) ExtractShard(lo, hi int) (*Index, error) {
 			copy(nt.stats, src[lo:hi])
 			// The sentinel keeps zero statistics: foreign populations
 			// belong to other shards, and zero adds nothing to any merge.
+			nt.report.ENCE = calib.ENCEFromStats(nt.stats)
 		}
 		out.tasks = append(out.tasks, nt)
 	}
-	out.initMaint(0)
+	out.initMaint()
 	return out, nil
 }
